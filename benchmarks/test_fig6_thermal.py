@@ -1,6 +1,18 @@
 """Fig. 6: the thermal runaway during HPL and the §V-C mitigation."""
 
+import hashlib
+
 import pytest
+
+#: SHA-256 of ``repr`` of the Fig. 6 result (every float at full
+#: precision); any change to the simulated run or its monitoring moves it.
+FIG6_DIGEST = (
+    "c40084eb817992055941abd0496dbc3188dfcd4903d14a739f45c547e81a8779")
+
+
+def test_fig6_result_digest(fig6_results):
+    digest = hashlib.sha256(repr(fig6_results).encode()).hexdigest()
+    assert digest == FIG6_DIGEST, repr(fig6_results)
 
 
 def test_fig6_node7_runs_away(benchmark, fig6_results):
