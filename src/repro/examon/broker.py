@@ -25,13 +25,16 @@ from a stale replay.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.examon.topics import topic_matches
 
 __all__ = ["MQTTMessage", "MQTTBroker", "Subscription",
            "BrokerUnavailableError"]
+
+
+_tuple_new = tuple.__new__
 
 
 class BrokerUnavailableError(ConnectionError):
@@ -44,9 +47,8 @@ class BrokerUnavailableError(ConnectionError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class MQTTMessage:
-    """One published message."""
+class MQTTMessage(NamedTuple):
+    """One published message (immutable; ``_replace`` derives a copy)."""
 
     topic: str
     payload: str
@@ -112,8 +114,9 @@ class MQTTBroker:
         #: deterministic "match time" the metrics registry exposes).
         #: Cache hits visit zero index nodes and are counted separately.
         self.match_ops = 0
-        #: Publishes whose subscription set came from the match cache.
-        self.match_cache_hits = 0
+        #: Publishes that resolved their subscription set through the trie
+        #: (every other publish was a match-cache hit).
+        self.match_cache_misses = 0
         #: Availability (chaos injection): a down broker refuses publishes.
         self.available = True
         #: Slow-broker fault: extra per-publish latency the *publishing*
@@ -122,6 +125,11 @@ class MQTTBroker:
         self.publish_delay_s = 0.0
         #: Publishes refused while the broker was down.
         self.publish_rejects = 0
+
+    @property
+    def match_cache_hits(self) -> int:
+        """Publishes whose subscription set came from the match cache."""
+        return self.messages_published - self.match_cache_misses
 
     @property
     def subscription_count(self) -> int:
@@ -149,7 +157,7 @@ class MQTTBroker:
         # publish.
         for topic in sorted(self._retained):  # simlint: disable=PERF303
             if topic_matches(pattern, topic):
-                callback(replace(self._retained[topic], retained=True))
+                callback(self._retained[topic]._replace(retained=True))
                 self.messages_delivered += 1
         return subscription
 
@@ -240,28 +248,30 @@ class MQTTBroker:
         carry ``retained=False`` (MQTT 3.1.1: the retain flag marks store
         replays, not the publisher's retain request).
         """
-        if "+" in topic or "#" in topic:
+        subscriptions = self._match_cache.get(topic)
+        # Only a cache miss can be a wildcard: wildcard topics raise here
+        # and are never cached.
+        if subscriptions is None and ("+" in topic or "#" in topic):
             raise ValueError(f"cannot publish to a wildcard topic: {topic!r}")
         if not self.available:
             self.publish_rejects += 1
             raise BrokerUnavailableError(
                 f"broker {self.hostname!r} is down; connect refused")
-        message = MQTTMessage(topic=topic, payload=payload,
-                              timestamp_s=timestamp_s, retained=False)
+        # What ``MQTTMessage(...)`` does, minus its Python-level frame.
+        message = _tuple_new(MQTTMessage, (topic, payload, timestamp_s, False))
         self.messages_published += 1
         self.bytes_published += len(topic) + len(payload)
         if retain:
             self._retained[topic] = message
-        subscriptions = self._match_cache.get(topic)
         if subscriptions is None:
             subscriptions = self._match(topic.split("/"))
             self._match_cache[topic] = subscriptions
-        else:
-            self.match_cache_hits += 1
-        delivered = 0
+            self.match_cache_misses += 1
         for subscription in subscriptions:
             subscription.callback(message)
-            delivered += 1
+        # A callback that raises propagates past this count: a failed
+        # delivery round counts no deliveries.
+        delivered = len(subscriptions)
         self.messages_delivered += delivered
         return delivered
 

@@ -114,9 +114,11 @@ class SamplingPlugin(ABC):
         :meth:`sample_and_publish` instead.
         """
         metrics = self.sample(now_s)
+        # Counted before publishing, as in :meth:`sample_and_publish`: a
+        # refused publish does not un-take the sample.
+        self.samples_taken += 1
         for topic, value in metrics.items():
             self.broker.publish(topic, encode_payload(value, now_s), now_s)
-        self.samples_taken += 1
         return len(metrics)
 
     # -- hardened sampling path ---------------------------------------------
@@ -133,17 +135,18 @@ class SamplingPlugin(ABC):
             self._maybe_reconnect(now_s)
             return 0
         # Batched publish: the whole node's metric set goes out under one
-        # try block with the broker method bound once, instead of a list
-        # copy plus a per-metric exception frame.  Broker availability
-        # cannot change mid-batch (nothing yields to the engine here), so
-        # the only divergence point is the broker refusing the connect —
-        # in which case ``published`` marks where the batch stopped and
-        # the failed metric onwards is buffered, exactly as before.
+        # try block with the broker method and the encoder bound once,
+        # instead of a list copy plus a per-metric exception frame.
+        # Broker availability cannot change mid-batch (nothing yields to
+        # the engine here), so the only divergence point is the broker
+        # refusing the connect — in which case ``published`` marks where
+        # the batch stopped and the failed metric onwards is buffered.
         publish = self.broker.publish
+        encode = encode_payload
         published = 0
         try:
             for topic, value in metrics.items():
-                publish(topic, encode_payload(value, now_s), now_s)
+                publish(topic, encode(value, now_s), now_s)
                 published += 1
         except BrokerUnavailableError:
             self._buffer_metrics(dict(islice(metrics.items(), published,

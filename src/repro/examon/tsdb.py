@@ -10,8 +10,8 @@ the Grafana-style dashboards and the batch REST API of §IV-B.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from repro.examon.broker import MQTTBroker, MQTTMessage
 from repro.examon.payload import decode_payload
@@ -20,6 +20,10 @@ from repro.examon.topics import topic_matches
 __all__ = ["TimeSeriesDB", "SeriesPoint"]
 
 SeriesPoint = Tuple[float, float]  # (timestamp_s, value)
+
+#: One stored series: parallel timestamp and value columns, sorted by
+#: ``(timestamp, value)``.
+_Columns = Tuple[array, array]
 
 _AGGREGATORS = {
     "mean": lambda vals: sum(vals) / len(vals),
@@ -31,17 +35,26 @@ _AGGREGATORS = {
 
 
 class TimeSeriesDB:
-    """Topic-keyed time series with range queries and aggregation."""
+    """Topic-keyed time series with range queries and aggregation.
+
+    Each series is stored as two parallel ``array('d')`` columns, one of
+    timestamps and one of values, kept sorted by ``(timestamp, value)``
+    — the order ``bisect.insort`` gives a list of ``(t, v)`` pairs.  A
+    stored point costs 16 bytes instead of a tuple and two float objects,
+    and range lookups bisect the timestamp column directly.
+    """
 
     def __init__(self) -> None:
-        self._series: Dict[str, List[SeriesPoint]] = {}
+        self._series: Dict[str, _Columns] = {}
         self.points_stored = 0
         self.decode_errors = 0
-        #: Monotone-timestamp inserts served by the append-only fast path.
-        self.fast_appends = 0
-        #: Out-of-order inserts that paid the ``bisect.insort`` slow path
-        #: (backfilled samples after a broker outage, mostly).
+        #: Out-of-order inserts placed by bisection.
         self.sorted_inserts = 0
+
+    @property
+    def fast_appends(self) -> int:
+        """Inserts appended to the columns (every insert not bisected)."""
+        return self.points_stored - self.sorted_inserts
 
     # -- ingestion ----------------------------------------------------------
     def attach(self, broker: MQTTBroker, pattern: str,
@@ -63,21 +76,45 @@ class TimeSeriesDB:
 
         Live monitoring traffic is monotone per topic (each sampling
         daemon stamps its own clock), so the overwhelmingly common case
-        is a plain list append; only out-of-order arrivals — outage
-        backfills replayed with their original timestamps — pay the
-        ``bisect`` insertion that keeps the series sorted.
+        appends one float to each column.  A point that sorts before the
+        series' last ``(timestamp, value)`` pair lands where
+        ``bisect.insort`` would put it among the pairs: after every
+        stored point with a smaller timestamp, and among equal timestamps
+        after every value that is not larger.
         """
-        series = self._series.get(topic)
-        if series is None:
-            series = self._series[topic] = []
-        if series and timestamp_s < series[-1][0]:
-            # Out-of-order arrival: keep the store sorted.
-            bisect.insort(series, (timestamp_s, value))
-            self.sorted_inserts += 1
+        columns = self._series.get(topic)
+        if columns is None:
+            # Both columns are built before the series is stored, so a
+            # non-numeric field (TypeError) leaves nothing behind.
+            self._series[topic] = (array("d", (timestamp_s,)),
+                                   array("d", (value,)))
         else:
-            series.append((timestamp_s, value))
-            self.fast_appends += 1
+            times, values = columns
+            # The comparison rejects a non-numeric timestamp and the value
+            # column is written first, so a failed insert changes nothing.
+            if timestamp_s <= times[-1] and (
+                    timestamp_s < times[-1] or value < values[-1]):
+                lo = bisect.bisect_left(times, timestamp_s)
+                hi = bisect.bisect_right(times, timestamp_s, lo)
+                index = bisect.bisect_right(values, value, lo, hi)
+                values.insert(index, value)
+                times.insert(index, timestamp_s)
+                self.sorted_inserts += 1
+            else:
+                values.append(value)
+                times.append(timestamp_s)
         self.points_stored += 1
+
+    def _range(self, topic: str, start_s: float,
+               end_s: float) -> Tuple[array, array]:
+        """The timestamp and value columns of one series inside [start, end]."""
+        columns = self._series.get(topic)
+        if columns is None:
+            return array("d"), array("d")
+        times, values = columns
+        lo = bisect.bisect_left(times, start_s)
+        hi = bisect.bisect_right(times, end_s, lo)
+        return times[lo:hi], values[lo:hi]
 
     # -- queries ------------------------------------------------------------
     def topics(self, pattern: str = "#") -> List[str]:
@@ -88,15 +125,16 @@ class TimeSeriesDB:
     def query(self, topic: str, start_s: float = float("-inf"),
               end_s: float = float("inf")) -> List[SeriesPoint]:
         """Raw points of one series inside [start, end]."""
-        series = self._series.get(topic, [])
-        lo = bisect.bisect_left(series, (start_s, float("-inf")))
-        hi = bisect.bisect_right(series, (end_s, float("inf")))
-        return series[lo:hi]
+        times, values = self._range(topic, start_s, end_s)
+        return list(zip(times, values))
 
     def latest(self, topic: str) -> Optional[SeriesPoint]:
         """Most recent point of a series, or None."""
-        series = self._series.get(topic)
-        return series[-1] if series else None
+        columns = self._series.get(topic)
+        if columns is None:
+            return None
+        times, values = columns
+        return times[-1], values[-1]
 
     def aggregate(self, topic: str, start_s: float, end_s: float,
                   window_s: float, how: str = "mean") -> List[SeriesPoint]:
@@ -153,9 +191,9 @@ class TimeSeriesDB:
         e.g. a node reboot) yield a zero-rate point rather than a negative
         spike.
         """
-        points = self.query(topic, start_s, end_s)
+        times, values = self._range(topic, start_s, end_s)
         out: List[SeriesPoint] = []
-        for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]):
             dt = t1 - t0
             if dt <= 0:
                 continue

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.node import ComputeNode
-from repro.examon.broker import MQTTBroker
+from repro.examon.broker import BrokerUnavailableError, MQTTBroker
 from repro.examon.payload import decode_payload
 from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import TABLE_III_METRICS, StatsPubPlugin
@@ -52,6 +52,27 @@ class TestPmuPub:
         value, timestamp = decode_payload(received[0].payload)
         assert timestamp == 30.0
         assert value >= 0
+
+    def test_publish_once_counts_sample_when_broker_refuses(self):
+        broker = MQTTBroker()
+        plugin = PmuPubPlugin(booted_node(), broker)
+        plugin.publish_once(30.0)
+        broker.go_offline()
+        with pytest.raises(BrokerUnavailableError):
+            plugin.publish_once(30.5)
+        # The sample was taken even though its publish was refused, the
+        # same accounting as the daemon's sample_and_publish.
+        assert plugin.samples_taken == 2
+        assert broker.publish_rejects == 1
+
+    def test_topics_follow_a_change_of_event_set(self):
+        node = booted_node(patched_uboot=False)
+        plugin = PmuPubPlugin(node, MQTTBroker())
+        assert len(plugin.sample(22.0)) == 8  # cycles + instructions × 4
+        node.board.enable_hpm_counters()  # what the U-Boot patch does
+        metrics = plugin.sample(22.5)
+        assert any(topic.endswith("/fp_ops") for topic in metrics)
+        assert metrics == PmuPubPlugin(node, MQTTBroker()).sample(22.5)
 
     def test_counters_increase_under_load(self):
         node = booted_node()

@@ -1,6 +1,10 @@
 """Tests for the time-series DB, REST facade and dashboards."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.examon.broker import MQTTBroker
 from repro.examon.dashboard import Dashboard, Heatmap
@@ -214,6 +218,86 @@ class TestInsertOrderingConsistency:
         assert db.rate("counter") == [(1.0, 100.0), (2.0, 0.0),
                                       (3.0, 100.0), (4.0, 0.0),
                                       (5.0, 100.0)]
+
+
+def _reference_rate(points):
+    """First-difference rate over a sorted point list, as the store does it."""
+    out = []
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        dt = t1 - t0
+        if dt > 0:
+            out.append((t1, max(v1 - v0, 0.0) / dt))
+    return out
+
+
+#: Few distinct timestamps and values, so duplicates and ties are common.
+_INSERTS = st.lists(
+    st.tuples(st.sampled_from(["a", "b"]),
+              st.integers(0, 12).map(lambda i: i * 0.5),
+              st.sampled_from([-1.5, 0.0, 1.0, 2.5, 1e6])),
+    max_size=60)
+
+
+class TestColumnOrderProperty:
+    """The column store is exactly a ``bisect.insort``-kept list of pairs."""
+
+    @given(inserts=_INSERTS,
+           window=st.tuples(st.integers(-2, 14), st.integers(0, 16),
+                            st.sampled_from([0.5, 1.0, 2.5])),
+           how=st.sampled_from(["mean", "max", "min", "sum", "last"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_insort_reference(self, inserts, window, how):
+        db = TimeSeriesDB()
+        reference = {}
+        for topic, t, v in inserts:
+            db.insert(topic, t, v)
+            bisect.insort(reference.setdefault(topic, []), (t, v))
+        start_s, end_s = window[0] * 0.5, (window[0] + window[1]) * 0.5
+        window_s = window[2]
+        for topic in ("a", "b"):
+            points = reference.get(topic, [])
+            assert db.query(topic) == points
+            assert db.query(topic, start_s, end_s) == [
+                (t, v) for t, v in points if start_s <= t <= end_s]
+            assert db.latest(topic) == (points[-1] if points else None)
+            assert db.aggregate(topic, start_s, end_s, window_s, how) == \
+                _naive_aggregate(points, start_s, end_s, window_s, how)
+            assert db.rate(topic) == _reference_rate(points)
+            assert db.rate(topic, start_s, end_s) == _reference_rate(
+                [(t, v) for t, v in points if start_s <= t <= end_s])
+        assert db.points_stored == len(inserts)
+        assert db.fast_appends + db.sorted_inserts == len(inserts)
+
+    def test_tied_timestamp_sorts_by_value(self):
+        db = TimeSeriesDB()
+        for value in (2.0, 1.0, 2.0, 3.0, 0.5):
+            db.insert("m", 5.0, value)
+        db.insert("m", 4.0, 9.0)
+        assert db.query("m") == [(4.0, 9.0), (5.0, 0.5), (5.0, 1.0),
+                                 (5.0, 2.0), (5.0, 2.0), (5.0, 3.0)]
+        assert db.latest("m") == (5.0, 3.0)
+
+    @pytest.mark.parametrize("point", [(1.0, "hot"), ("t", 1.0),
+                                       (None, 1.0), (3.0, None)])
+    def test_non_numeric_insert_changes_nothing(self, point):
+        db = TimeSeriesDB()
+        with pytest.raises(TypeError):
+            db.insert("new", *point)
+        db.insert("m", 2.0, 1.0)
+        with pytest.raises(TypeError):
+            db.insert("m", *point)
+        assert db.topics() == ["m"]
+        assert db.query("m") == [(2.0, 1.0)]
+        assert db.points_stored == 1
+
+    def test_unknown_topic(self):
+        db = TimeSeriesDB()
+        db.insert("known", 1.0, 1.0)
+        assert db.query("unknown") == []
+        assert db.query("unknown", 0.0, 10.0) == []
+        assert db.latest("unknown") is None
+        assert db.aggregate("unknown", 0.0, 10.0, 1.0) == []
+        assert db.rate("unknown") == []
 
 
 class TestRestAPI:

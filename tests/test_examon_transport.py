@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.examon.broker import MQTTBroker
 from repro.examon.payload import decode_payload, encode_payload
 from repro.examon.topics import TopicSchema, topic_matches
+from repro.examon.tsdb import TimeSeriesDB
 
 
 class TestTopicSchema:
@@ -93,6 +94,34 @@ class TestPayload:
     def test_non_numeric_value_rejected_on_encode(self):
         with pytest.raises(TypeError):
             encode_payload("hot", 1.0)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_value_rejected_on_encode(self, value):
+        # bool subclasses int, but "True;0" is no payload the decoder
+        # accepts: the caller must see the TypeError, not a silent
+        # storage-side decode error.
+        with pytest.raises(TypeError):
+            encode_payload(value, 0.0)
+
+    def test_int_value_still_encodes(self):
+        assert decode_payload(encode_payload(7, 1.0)) == (7.0, 1.0)
+
+    @pytest.mark.parametrize("payload", [
+        "nan;0", "1;nan", "inf;0", "1;inf", "-inf;5", "1;-inf", "NaN;NaN"])
+    def test_non_finite_fields_rejected_on_decode(self, payload):
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_payload(payload)
+
+    def test_non_finite_payload_counted_as_decode_error(self):
+        broker = MQTTBroker()
+        db = TimeSeriesDB()
+        db.attach(broker, "#")
+        broker.publish("s/t", "nan;1.0", timestamp_s=1.0)
+        broker.publish("s/t", "1.0;inf", timestamp_s=2.0)
+        broker.publish("s/t", "3.0;3.0", timestamp_s=3.0)
+        assert db.decode_errors == 2
+        assert db.points_stored == 1
+        assert db.query("s/t") == [(3.0, 3.0)]
 
     @given(value=st.floats(allow_nan=False, allow_infinity=False),
            ts=st.floats(min_value=0, max_value=1e12))
