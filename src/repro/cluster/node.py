@@ -19,12 +19,13 @@ simulation process with the Fig. 4 timings.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from repro.events.engine import Engine, Event
 from repro.hardware.board import HiFiveUnmatched
 from repro.hardware.cores import CoreActivity
 from repro.power.boot import BOOT_PHASES
+from repro.power.traces import activity_modulation
 from repro.power.model import (
     IDLE_PROFILE,
     NodePhase,
@@ -75,6 +76,10 @@ class ComputeNode:
         #: (1.0 = full 1.2 GHz; §VI future-work feature).
         self.frequency_scale = 1.0
         self._now_s = 0.0
+        #: (phase, active_profile, frequency_scale) of ``_rail_powers``,
+        #: the last ``power_model.rail_powers_w`` result; filled on first use.
+        self._rail_key: Optional[tuple] = None
+        self._rail_powers: Dict[str, float] = {}
 
     # -- thermal attachment ---------------------------------------------------
     def attach_thermal(self, enclosure: Enclosure, slot: int) -> None:
@@ -182,10 +187,9 @@ class ComputeNode:
             raise ValueError("negative time step")
         self._now_s += dt_s
         profile = self.active_profile
+        board = self.board
         if self.phase is NodePhase.R3_OS:
             if profile.utilisation > 0:
-                from repro.power.traces import activity_modulation
-
                 modulation = activity_modulation(profile.name, self._now_s)
                 # Clock throttling slows instruction throughput linearly;
                 # cycle counts also advance at the reduced clock, so ipc is
@@ -196,16 +200,16 @@ class ComputeNode:
                     flop_fraction=profile.flop_fraction,
                     l2_miss_rate=0.002 + 0.02 * profile.ddr_data_activity,
                     utilisation=profile.utilisation)
-                for core in self.board.cores:
+                for core in board.cores.cores:
                     core.advance(activity)
             else:
-                self.board.cores.idle(dt_s)
+                board.cores.idle(dt_s)
             self.procfs.account_cpu(dt_s, profile.utilisation)
-            self.procfs.update_memory(self.board.memory.usage())
+            self.procfs.update_memory(board.memory.usage())
         if self.thermal is not None:
             # Powered-off boards cool toward ambient (rails read zero).
             self.thermal.step(dt_s, self.total_power_w())
-            self.board.sync_nvme_temperature()
+            board.sync_nvme_temperature()
         self._apply_power(self._now_s)
 
     # -- measurements -------------------------------------------------------------
@@ -226,10 +230,15 @@ class ComputeNode:
         self._apply_power(self._now_s)
 
     def _apply_power(self, now_s: float) -> None:
-        powers = self.power_model.rail_powers_w(
-            self.phase, self.active_profile,
-            frequency_scale=self.frequency_scale)
-        self.board.rails.set_powers(powers, now_s)
+        # The rail powers are a function of the key alone, so the last
+        # evaluation is reused until a transition changes the key.
+        key = (self.phase, self.active_profile, self.frequency_scale)
+        if key != self._rail_key:
+            self._rail_powers = self.power_model.rail_powers_w(
+                self.phase, self.active_profile,
+                frequency_scale=self.frequency_scale)
+            self._rail_key = key
+        self.board.rails.set_powers(self._rail_powers, now_s)
 
     # -- simulation processes -------------------------------------------------------
     def boot_process(self, engine: Engine) -> Generator[Event, None, None]:

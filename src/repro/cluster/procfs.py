@@ -89,10 +89,9 @@ class ProcFS:
         self.context_switches_total += int(dt_s * (500 + 9000 * utilisation))
         # Exponentially-smoothed load averages driven by the run queue.
         runnable = utilisation * self.n_cores
-        for attr, tau in (("load_1m", 60.0), ("load_5m", 300.0), ("load_15m", 900.0)):
-            current = getattr(self, attr)
-            alpha = min(dt_s / tau, 1.0)
-            setattr(self, attr, current + alpha * (runnable - current))
+        self.load_1m += min(dt_s / 60.0, 1.0) * (runnable - self.load_1m)
+        self.load_5m += min(dt_s / 300.0, 1.0) * (runnable - self.load_5m)
+        self.load_15m += min(dt_s / 900.0, 1.0) * (runnable - self.load_15m)
 
     def update_memory(self, usage: Dict[str, int]) -> None:
         """Mirror the DDR subsystem's usage split (used/free/buff/cach)."""

@@ -12,8 +12,8 @@ real machine (§IV-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.hardware.hpm import HPMUnit
 from repro.hardware.specs import SoCSpec, U740_SPEC
@@ -21,7 +21,7 @@ from repro.hardware.specs import SoCSpec, U740_SPEC
 __all__ = ["U74Core", "S7Core", "CoreComplex", "CoreActivity"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreActivity:
     """A slice of work executed on one core.
 
@@ -39,6 +39,10 @@ class CoreActivity:
         ``ddr_mem`` power rail).
     utilisation:
         Busy fraction within ``duration_s`` (1.0 = fully busy).
+
+    An activity is a value: the node hands one instance to every core of
+    the complex, and :meth:`counts` works out the counter increments for
+    the first core and reuses them for the rest.
     """
 
     duration_s: float
@@ -46,14 +50,54 @@ class CoreActivity:
     flop_fraction: float = 0.0
     l2_miss_rate: float = 0.0
     utilisation: float = 1.0
+    #: (clock_hz, max_ipc, counts) of the last :meth:`counts` call; not a
+    #: field, so equality, hashing and ``repr`` ignore it.
+    _counts_memo = None
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
+        # Every field is checked here, so every increment :meth:`counts`
+        # derives is a non-negative integer and a core applies all of them
+        # or none.
+        if not self.duration_s >= 0:
             raise ValueError(f"negative duration {self.duration_s}")
         if not 0.0 <= self.utilisation <= 1.0:
             raise ValueError(f"utilisation {self.utilisation} outside [0, 1]")
-        if self.ipc < 0:
+        if not self.ipc >= 0:
             raise ValueError(f"negative ipc {self.ipc}")
+        if not 0.0 <= self.flop_fraction <= 1.0:
+            raise ValueError(
+                f"flop_fraction {self.flop_fraction} outside [0, 1]")
+        if not self.l2_miss_rate >= 0:
+            raise ValueError(f"negative l2_miss_rate {self.l2_miss_rate}")
+
+    def counts(self, clock_hz: float,
+               max_ipc: float) -> Tuple[int, int, int, int, int]:
+        """(cycles, instructions, fp_ops, l2_miss, load_store) increments.
+
+        The increments of a core clocked at ``clock_hz`` whose issue rate
+        is capped at ``max_ipc``.  The last result is kept, keyed on those
+        two arguments.
+        """
+        memo = self._counts_memo
+        if memo is not None and memo[0] == clock_hz and memo[1] == max_ipc:
+            return memo[2]
+        busy_s = self.duration_s * self.utilisation
+        cycles = int(clock_hz * self.duration_s)
+        busy_cycles = int(clock_hz * busy_s)
+        instructions = int(busy_cycles * min(self.ipc, max_ipc))
+        counts = (cycles, instructions,
+                  int(instructions * self.flop_fraction),
+                  int(instructions * self.l2_miss_rate),
+                  int(instructions * 0.3))
+        # A frozen dataclass refuses attribute writes; the memo is not a
+        # field, so it goes into the instance dict directly.
+        self.__dict__["_counts_memo"] = (clock_hz, max_ipc, counts)
+        return counts
+
+
+def _idle_activity(duration_s: float) -> CoreActivity:
+    """OS-idle time: cycles tick, few instructions retire."""
+    return CoreActivity(duration_s=duration_s, ipc=0.02, utilisation=0.01)
 
 
 class U74Core:
@@ -104,23 +148,12 @@ class U74Core:
         """
         if not self._clock_on:
             raise RuntimeError(f"core {self.core_id}: advance() with clock gated")
-        busy_s = activity.duration_s * activity.utilisation
-        cycles = int(self.soc.clock_hz * activity.duration_s)
-        busy_cycles = int(self.soc.clock_hz * busy_s)
-        instructions = int(busy_cycles * min(activity.ipc, self.MAX_IPC))
-        flops = int(instructions * activity.flop_fraction)
-        l2_misses = int(instructions * activity.l2_miss_rate)
-        self.hpm.add_cycles(cycles)
-        self.hpm.add_instructions(instructions)
-        self.hpm.add_event("fp_ops", flops)
-        self.hpm.add_event("l2_miss", l2_misses)
-        self.hpm.add_event("load_store", int(instructions * 0.3))
+        self.hpm.add_counts(*activity.counts(self.soc.clock_hz, self.MAX_IPC))
         self._current_utilisation = activity.utilisation
 
     def idle(self, duration_s: float) -> None:
         """Account for OS-idle time (cycles tick, few instructions retire)."""
-        self.advance(CoreActivity(duration_s=duration_s, ipc=0.02,
-                                  utilisation=0.01))
+        self.advance(_idle_activity(duration_s))
         self._current_utilisation = 0.0
 
     def __repr__(self) -> str:
@@ -194,5 +227,7 @@ class CoreComplex:
 
     def idle(self, duration_s: float) -> None:
         """Advance every core through an OS-idle interval."""
+        activity = _idle_activity(duration_s)
         for core in self.cores:
-            core.idle(duration_s)
+            core.advance(activity)
+            core._current_utilisation = 0.0

@@ -87,6 +87,24 @@ class HPMUnit:
         if self._programmable_enabled:
             self._events[name] += n
 
+    def add_counts(self, cycles: int, instructions: int, fp_ops: int,
+                   l2_miss: int, load_store: int) -> None:
+        """Accumulate one slice of core work in a single call.
+
+        The five increments come from :meth:`CoreActivity.counts
+        <repro.hardware.cores.CoreActivity.counts>`, which derives them
+        from a validated activity, so they are non-negative and are not
+        checked again here.  The programmable events are discarded while
+        the bank is disabled, as in :meth:`add_event`.
+        """
+        self.cycle += cycles
+        self.instret += instructions
+        if self._programmable_enabled:
+            events = self._events
+            events["fp_ops"] += fp_ops
+            events["l2_miss"] += l2_miss
+            events["load_store"] += load_store
+
     # -- reads -------------------------------------------------------------
     def read_event(self, name: str) -> int:
         """Read a programmable event counter (zero while disabled)."""

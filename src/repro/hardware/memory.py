@@ -85,11 +85,12 @@ class DDR4Subsystem:
 
     def usage(self) -> Dict[str, int]:
         """Memory usage in the shape stats_pub reports (Table III)."""
-        used = self.allocated_bytes
-        free = self.free_bytes
+        capacity = self.spec.capacity_bytes
+        used = sum(self._allocations.values())
+        free = capacity - used
         # Buffers/cache modelled as a fixed small OS share of free memory.
-        buff = int(0.01 * self.capacity_bytes)
-        cach = int(0.04 * self.capacity_bytes)
+        buff = int(0.01 * capacity)
+        cach = int(0.04 * capacity)
         return {"used": used, "free": max(0, free - buff - cach),
                 "buff": buff, "cach": cach}
 

@@ -61,6 +61,8 @@ class ShuntSensor:
 class PowerRail:
     """One supply rail: instantaneous power plus an energy integral."""
 
+    __slots__ = ("name", "sensor", "_power_w", "_energy_j", "_last_update_s")
+
     def __init__(self, name: str, sensor: ShuntSensor | None = None) -> None:
         self.name = name
         self.sensor = sensor if sensor is not None else ShuntSensor()
@@ -126,13 +128,26 @@ class RailSet:
         return list(self._rails)
 
     def set_powers(self, powers_w: Dict[str, float], now_s: float) -> None:
-        """Update several rails at one timestamp."""
+        """Update several rails at one timestamp.
+
+        Each rail is updated exactly as :meth:`PowerRail.set_power` does it,
+        checks included, in one loop over ``powers_w``.
+        """
+        rails = self._rails
         for name, power in powers_w.items():
-            self._rails[name].set_power(power, now_s)
+            rail = rails[name]
+            if power < 0:
+                raise ValueError(f"negative power {power} on rail {name}")
+            dt = now_s - rail._last_update_s
+            if dt < 0:
+                raise ValueError(f"time went backwards on rail {name}")
+            rail._energy_j += rail._power_w * dt
+            rail._power_w = power
+            rail._last_update_s = now_s
 
     def total_w(self) -> float:
         """True total board power, watts."""
-        return sum(rail.power_w for rail in self)
+        return sum([rail._power_w for rail in self._rails.values()])
 
     def measure_all_mw(self) -> Dict[str, float]:
         """Per-rail measured power in mW — one Table VI column."""

@@ -3,7 +3,7 @@
 §III: the M.2 slot carries a 1 TB NVMe 2280 SSD holding the operating
 system; a micro-SD card provides the UEFI boot path.  The models track I/O
 counters (stats_pub's ``dsk_total.read``/``dsk_total.writ``) and the NVMe
-temperature input consumed by the hwmon tree.
+temperature the board copies into the hwmon tree.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ class NVMeDrive:
     #: Cumulative transfer counters for stats_pub.
     bytes_read: int = 0
     bytes_written: int = 0
-    #: Device temperature, written by the thermal model, read via hwmon0.
+    #: Device temperature.  Nothing updates it: it stays at 30 °C, and
+    #: ``HiFiveUnmatched.sync_nvme_temperature`` copies it into hwmon0 on
+    #: every node tick, over the NVMe RC temperature ``NodeThermalModel``
+    #: wrote there a moment earlier (a known defect, see ROADMAP.md).
     temperature_c: float = 30.0
 
     def read(self, n_bytes: int) -> float:

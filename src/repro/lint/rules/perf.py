@@ -1,9 +1,12 @@
 """PERF rules — algorithmic smells on the kernel's hot paths.
 
-The event kernel (:mod:`repro.events`) and the monitoring substrate
-(:mod:`repro.examon`) are the two packages every simulated second flows
-through; the throughput gates in ``benchmarks/test_kernel_throughput.py``
-assume their inner loops stay allocation-light and O(1)-ish per event.
+The rules cover the event kernel (:mod:`repro.events`), which runs
+once per event, and the monitoring substrate (:mod:`repro.examon`),
+which runs once per published sample; their inner loops must stay
+O(1)-ish per event and per message.  They are not the only hot code:
+the per-node tick in :mod:`repro.cluster`, :mod:`repro.hardware`,
+:mod:`repro.power` and :mod:`repro.thermal` runs every simulated second
+too, and the end-to-end benchmark in ``perfbench/`` times all of them.
 These rules flag the three accidental-quadratic patterns that keep
 creeping into such code:
 

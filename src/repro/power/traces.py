@@ -66,7 +66,7 @@ class PowerTrace:
         return float(np.std(self.power_w))
 
 
-def _hpl_modulation(t: np.ndarray) -> np.ndarray:
+def _hpl_modulation(t: float) -> float:
     """HPL phase structure: long update phases dipping for panel+bcast.
 
     The dips correspond to the communication/panel phases where the FPU
@@ -74,46 +74,54 @@ def _hpl_modulation(t: np.ndarray) -> np.ndarray:
     """
     period = 2.6  # seconds per panel cycle at the single-node problem size
     phase = (t % period) / period
-    dip = np.where(phase < 0.18, -0.22, 0.0)
-    ripple = 0.02 * np.sin(2 * math.pi * t / 0.4)
+    dip = -0.22 if phase < 0.18 else 0.0
+    ripple = 0.02 * math.sin(2 * math.pi * t / 0.4)
     return 1.0 + dip + ripple
 
 
-def _stream_modulation(t: np.ndarray) -> np.ndarray:
+_STREAM_LEVELS = (1.04, 0.97, 1.0, 1.0)
+
+
+def _stream_modulation(t: float) -> float:
     """STREAM cycles copy→scale→add→triad; each kernel has its own level."""
     period = 1.6
-    phase = ((t % period) / period * 4).astype(int)
-    levels = np.array([1.04, 0.97, 1.0, 1.0])
-    return levels[np.clip(phase, 0, 3)]
+    phase = int((t % period) / period * 4)
+    return _STREAM_LEVELS[min(max(phase, 0), 3)]
 
 
-def _qe_modulation(t: np.ndarray) -> np.ndarray:
+def _qe_modulation(t: float) -> float:
     """QE LAX alternates rotation sweeps and re-blocking pauses."""
     period = 3.1
     phase = (t % period) / period
-    pause = np.where(phase > 0.85, -0.15, 0.0)
-    return 1.0 + pause + 0.015 * np.sin(2 * math.pi * t / 0.7)
+    pause = -0.15 if phase > 0.85 else 0.0
+    return 1.0 + pause + 0.015 * math.sin(2 * math.pi * t / 0.7)
 
 
-_MODULATIONS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "idle": lambda t: np.ones_like(t),
+def _flat(t: float) -> float:
+    return 1.0
+
+
+_MODULATIONS: Dict[str, Callable[[float], float]] = {
+    "idle": _flat,
     "hpl": _hpl_modulation,
     "stream_l2": _stream_modulation,
     "stream_ddr": _stream_modulation,
     "qe": _qe_modulation,
 }
 
-def activity_modulation(workload: str, t_s: float) -> float:
-    """Scalar phase-structure factor for one workload at time ``t_s``.
 
-    Used by the node lifecycle to modulate instantaneous activity (e.g.
+def activity_modulation(workload: str, t_s: float) -> float:
+    """Phase-structure factor for one workload at time ``t_s``.
+
+    The node lifecycle modulates instantaneous activity with it (e.g.
     HPL's panel-broadcast dips show up as lower instruction rates in the
-    Fig. 5 heatmap).  Unknown workloads are flat.
+    Fig. 5 heatmap), and the Fig. 3 synthesiser maps it over its sample
+    times.  Unknown workloads are flat.
     """
     modulation = _MODULATIONS.get(workload)
     if modulation is None:
         return 1.0
-    return float(modulation(np.asarray([t_s]))[0])
+    return modulation(t_s)
 
 
 _PROFILES: Dict[str, WorkloadProfile] = {
@@ -167,7 +175,8 @@ class TraceSynthesizer:
         base = sum(idle_mw[r] for r in rails)
         delta = sum(active_mw[r] - idle_mw[r] for r in rails)
 
-        modulation = _MODULATIONS[workload](times)
+        modulation = np.fromiter(map(_MODULATIONS[workload], times.tolist()),
+                                 dtype=float, count=len(times))
         # Decorrelate the noise of each workload×group panel with a digest
         # that is stable across processes — builtin hash() is salted per
         # interpreter (PYTHONHASHSEED), which made reruns non-reproducible.

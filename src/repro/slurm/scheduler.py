@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.events.engine import Engine, Event
+from repro.power.traces import activity_modulation
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # runtime import is lazy: cluster imports this module
@@ -324,8 +325,6 @@ class SlurmController:
         When traced, each slice's burst is recorded as an ``mpi.*``
         collective span under the job attempt (``span``).
         """
-        from repro.power.traces import activity_modulation
-
         modulation = activity_modulation(job.profile.name, self.engine.now)
         comm_factor = max(0.2, 1.8 - modulation)
         per_node = int(self.MPI_BYTES_PER_NODE_S * comm_factor * slice_s

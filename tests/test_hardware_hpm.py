@@ -46,6 +46,20 @@ class TestHPMUnit:
         with pytest.raises(ValueError):
             unit.add_instructions(-1)
 
+    def test_add_counts_is_one_slice_of_work(self):
+        unit = HPMUnit(core_id=0)
+        unit.add_counts(100, 50, 20, 3, 15)
+        # The programmable bank discards its three events while disabled.
+        assert unit.snapshot() == {
+            "cycles": 100, "instructions": 50, "fp_ops": 0, "l2_miss": 0,
+            "load_store": 0, "branch_mispredict": 0, "itlb_miss": 0,
+            "dtlb_miss": 0}
+        unit.enable_programmable()
+        unit.add_counts(100, 50, 20, 3, 15)
+        assert (unit.cycle, unit.instret) == (200, 100)
+        assert [unit.read_event(e) for e in ("fp_ops", "l2_miss",
+                                             "load_store")] == [20, 3, 15]
+
     def test_snapshot_contains_everything(self):
         unit = HPMUnit(core_id=0)
         snap = unit.snapshot()
