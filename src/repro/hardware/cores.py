@@ -13,6 +13,7 @@ real machine (§IV-B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 from repro.hardware.hpm import HPMUnit
@@ -41,8 +42,9 @@ class CoreActivity:
         Busy fraction within ``duration_s`` (1.0 = fully busy).
 
     An activity is a value: the node hands one instance to every core of
-    the complex, and :meth:`counts` works out the counter increments for
-    the first core and reuses them for the rest.
+    the complex, every idle core shares one per interval, and
+    :meth:`counts` works out the counter increments on first use and
+    reuses them for the rest.
     """
 
     duration_s: float
@@ -89,14 +91,18 @@ class CoreActivity:
                   int(instructions * self.flop_fraction),
                   int(instructions * self.l2_miss_rate),
                   int(instructions * 0.3))
-        # A frozen dataclass refuses attribute writes; the memo is not a
-        # field, so it goes into the instance dict directly.
-        self.__dict__["_counts_memo"] = (clock_hz, max_ipc, counts)
+        # The memo is not a field; a frozen dataclass sets it this way.
+        object.__setattr__(self, "_counts_memo", (clock_hz, max_ipc, counts))
         return counts
 
 
+@lru_cache(maxsize=8)
 def _idle_activity(duration_s: float) -> CoreActivity:
-    """OS-idle time: cycles tick, few instructions retire."""
+    """OS-idle time: cycles tick, few instructions retire.
+
+    Activities are immutable, so every core idling for the same interval
+    shares one instance (ticks are almost always one simulated second).
+    """
     return CoreActivity(duration_s=duration_s, ipc=0.02, utilisation=0.01)
 
 
@@ -227,7 +233,5 @@ class CoreComplex:
 
     def idle(self, duration_s: float) -> None:
         """Advance every core through an OS-idle interval."""
-        activity = _idle_activity(duration_s)
         for core in self.cores:
-            core.advance(activity)
-            core._current_utilisation = 0.0
+            core.idle(duration_s)

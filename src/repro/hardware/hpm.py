@@ -62,18 +62,6 @@ class HPMUnit:
         self._programmable_enabled = True
 
     # -- accumulation ----------------------------------------------------------
-    def add_cycles(self, n: int) -> None:
-        """Accumulate elapsed core cycles."""
-        if n < 0:
-            raise ValueError(f"negative cycle count {n}")
-        self.cycle += n
-
-    def add_instructions(self, n: int) -> None:
-        """Accumulate retired instructions."""
-        if n < 0:
-            raise ValueError(f"negative instruction count {n}")
-        self.instret += n
-
     def add_event(self, name: str, n: int) -> None:
         """Accumulate a programmable event.
 
@@ -89,14 +77,16 @@ class HPMUnit:
 
     def add_counts(self, cycles: int, instructions: int, fp_ops: int,
                    l2_miss: int, load_store: int) -> None:
-        """Accumulate one slice of core work in a single call.
+        """Accumulate one slice of core work: CYCLE, INSTRET and three events.
 
-        The five increments come from :meth:`CoreActivity.counts
-        <repro.hardware.cores.CoreActivity.counts>`, which derives them
-        from a validated activity, so they are non-negative and are not
-        checked again here.  The programmable events are discarded while
-        the bank is disabled, as in :meth:`add_event`.
+        A negative increment is rejected before any counter moves.  The
+        programmable events are discarded while the bank is disabled, as in
+        :meth:`add_event`.
         """
+        if (cycles < 0 or instructions < 0 or fp_ops < 0 or l2_miss < 0
+                or load_store < 0):
+            raise ValueError("negative HPM increment in "
+                             f"{cycles, instructions, fp_ops, l2_miss, load_store}")
         self.cycle += cycles
         self.instret += instructions
         if self._programmable_enabled:

@@ -128,22 +128,10 @@ class RailSet:
         return list(self._rails)
 
     def set_powers(self, powers_w: Dict[str, float], now_s: float) -> None:
-        """Update several rails at one timestamp.
-
-        Each rail is updated exactly as :meth:`PowerRail.set_power` does it,
-        checks included, in one loop over ``powers_w``.
-        """
+        """Update several rails at one timestamp."""
         rails = self._rails
         for name, power in powers_w.items():
-            rail = rails[name]
-            if power < 0:
-                raise ValueError(f"negative power {power} on rail {name}")
-            dt = now_s - rail._last_update_s
-            if dt < 0:
-                raise ValueError(f"time went backwards on rail {name}")
-            rail._energy_j += rail._power_w * dt
-            rail._power_w = power
-            rail._last_update_s = now_s
+            rails[name].set_power(power, now_s)
 
     def total_w(self) -> float:
         """True total board power, watts."""

@@ -14,8 +14,7 @@ state at the stats_pub sampling period (5 s), not at a control-loop rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 from repro.hardware.sensors import HwmonTree
 from repro.thermal.enclosure import Enclosure
@@ -40,9 +39,6 @@ class ThermalRC:
     resistance_k_per_w: float
     capacitance_j_per_k: float
     temperature_c: float = 25.0
-    #: (dt_s, R, C, exp(-dt_s / RC)) of the last :meth:`step`.
-    _decay_memo: Optional[Tuple[float, float, float, float]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.resistance_k_per_w <= 0:
@@ -67,18 +63,8 @@ class ThermalRC:
         """
         if dt_s < 0:
             raise ValueError(f"negative time step {dt_s}")
-        resistance = self.resistance_k_per_w
-        capacitance = self.capacitance_j_per_k
-        # The decay factor is reused while the step and the RC hold; the
-        # §V-C mitigation changes R mid-run (NodeThermalModel.set_enclosure).
-        memo = self._decay_memo
-        if (memo is not None and memo[0] == dt_s and memo[1] == resistance
-                and memo[2] == capacitance):
-            alpha = memo[3]
-        else:
-            alpha = math.exp(-dt_s / (resistance * capacitance))
-            self._decay_memo = (dt_s, resistance, capacitance, alpha)
-        target = ambient_c + power_w * resistance  # steady_state_c
+        target = self.steady_state_c(power_w, ambient_c)
+        alpha = math.exp(-dt_s / self.time_constant_s)
         self.temperature_c = target + (self.temperature_c - target) * alpha
         return self.temperature_c
 

@@ -13,8 +13,7 @@ from repro.hardware.hpm import (
 class TestHPMUnit:
     def test_fixed_counters_always_count(self):
         unit = HPMUnit(core_id=0)
-        unit.add_cycles(100)
-        unit.add_instructions(50)
+        unit.add_counts(100, 50, 0, 0, 0)
         assert unit.cycle == 100
         assert unit.instret == 50
 
@@ -41,10 +40,17 @@ class TestHPMUnit:
 
     def test_negative_counts_rejected(self):
         unit = HPMUnit(core_id=0)
+        unit.enable_programmable()
+        before = unit.snapshot()
+        for position in range(5):
+            counts = [10, 10, 10, 10, 10]
+            counts[position] = -1
+            with pytest.raises(ValueError):
+                unit.add_counts(*counts)
+            # Rejected before any counter moves.
+            assert unit.snapshot() == before
         with pytest.raises(ValueError):
-            unit.add_cycles(-1)
-        with pytest.raises(ValueError):
-            unit.add_instructions(-1)
+            unit.add_event("fp_ops", -1)
 
     def test_add_counts_is_one_slice_of_work(self):
         unit = HPMUnit(core_id=0)
@@ -93,11 +99,11 @@ class TestPerfEventsInterface:
 
     def test_reads_are_per_core(self):
         iface, units = self._iface()
-        units[2].add_instructions(7)
+        units[2].add_counts(0, 7, 0, 0, 0)
         assert iface.read(2, "instructions") == 7
         assert iface.read(0, "instructions") == 0
 
     def test_read_all_matches_snapshot(self):
         iface, units = self._iface(enabled=True)
-        units[1].add_cycles(5)
+        units[1].add_counts(5, 0, 0, 0, 0)
         assert iface.read_all(1)["cycles"] == 5

@@ -1,11 +1,11 @@
 """Property: the node tick's reused values never go stale.
 
 ``ComputeNode`` reuses its last rail-power evaluation while
-``(phase, active_profile, frequency_scale)`` holds, and each ``ThermalRC``
-reuses its decay factor while ``(dt, R, C)`` holds.  Arbitrary sequences
+``(phase, active_profile, frequency_scale)`` holds.  Arbitrary sequences
 of lifecycle transitions, throttling, enclosure changes and ticks must
 leave every rail exactly at a fresh model evaluation, and the SoC exactly
-at the temperature of an RC stepped without any reuse.
+at the temperature of a reference RC update fed the board power the
+rails report.
 """
 
 import math
@@ -46,7 +46,7 @@ OPERATIONS = st.one_of(
 
 
 def _reference_step(temperature, dt_s, power_w, ambient_c, r, c):
-    """ThermalRC.step's exact-exponential update, with nothing reused."""
+    """ThermalRC.step's exact-exponential update, written out."""
     target = ambient_c + power_w * r
     return target + (temperature - target) * math.exp(-dt_s / (r * c))
 
