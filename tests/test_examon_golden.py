@@ -16,12 +16,11 @@ its ``repr``, so a one-ulp change anywhere shows up.
   ``test_examon_storage.py``).
 """
 
-import hashlib
-
 import pytest
 
 from repro.analysis.experiments import fig5_heatmaps
 from repro.chaos.scenarios import run_scenario
+from tests.golden import digest, store_digest
 
 FIG5_DIGESTS = {
     "instructions":
@@ -38,29 +37,12 @@ OUTAGE_DIGEST = (
     "013de6543bf6f26e1bb490227b638cbe3084f58a2548060591a688c70a041c81")
 
 
-def _digest(lines):
-    hasher = hashlib.sha256()
-    for line in lines:
-        hasher.update(line.encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest()
-
-
 def heatmap_digest(heatmap):
     """Digest of a heatmap's metric, bucket times and rows, in order."""
     lines = [heatmap.metric, " ".join(repr(t) for t in heatmap.times)]
     for hostname, row in heatmap.rows.items():
         lines.append(hostname + " " + " ".join(repr(v) for v in row))
-    return _digest(lines)
-
-
-def store_digest(db):
-    """Digest of every stored point of every topic, topics sorted."""
-    lines = []
-    for topic in db.topics("#"):
-        lines.append(topic)
-        lines.extend(f"{t!r} {v!r}" for t, v in db.query(topic))
-    return _digest(lines)
+    return digest(lines)
 
 
 @pytest.fixture(scope="module")

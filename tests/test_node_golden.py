@@ -15,8 +15,6 @@ change anywhere shows up.
 * The scalar phase modulation on a grid of sample times.
 """
 
-import hashlib
-
 import pytest
 
 from repro.cluster.cluster import MonteCimoneCluster
@@ -30,6 +28,7 @@ from repro.power.traces import RAIL_GROUPS, TraceSynthesizer, activity_modulatio
 from repro.slurm.trace import TraceEntry, replay_trace
 from repro.thermal.dtm import ClusterDTM
 from repro.thermal.enclosure import EnclosureConfig
+from tests.golden import digest
 
 NODE_DIGESTS = {
     "replay":
@@ -57,14 +56,6 @@ TRACE = [
     TraceEntry(1500.0, "hpl-b", "alice", 8, 2400.0, HPL_PROFILE),
     TraceEntry(2000.0, "qe-b", "carol", 1, 300.0, QE_PROFILE),
 ]
-
-
-def _digest(lines):
-    hasher = hashlib.sha256()
-    for line in lines:
-        hasher.update(line.encode())
-        hasher.update(b"\n")
-    return hasher.hexdigest()
 
 
 def node_state_lines(node):
@@ -95,7 +86,7 @@ def cluster_digest(cluster, extra=()):
     lines = [repr(cluster.engine.now), *extra]
     for node in cluster.nodes.values():
         lines.extend(node_state_lines(node))
-    return _digest(lines)
+    return digest(lines)
 
 
 def _booted(config):
@@ -156,7 +147,7 @@ def test_fig3_series_digest():
         for group, trace in groups.items():
             lines.append(trace.label)
             lines.extend(repr(p) for p in trace.power_w.tolist())
-    assert _digest(lines) == FIG3_DIGEST
+    assert digest(lines) == FIG3_DIGEST
 
 
 def test_fig4_boot_trace_digest():
@@ -166,7 +157,7 @@ def test_fig4_boot_trace_digest():
         trace = synth.boot_trace(group)
         lines.append(trace.label)
         lines.extend(repr(p) for p in trace.power_w.tolist())
-    assert _digest(lines) == FIG4_DIGEST
+    assert digest(lines) == FIG4_DIGEST
 
 
 def test_activity_modulation_digest():
@@ -174,4 +165,4 @@ def test_activity_modulation_digest():
              for workload in ("idle", "hpl", "stream_l2", "stream_ddr", "qe",
                               "unknown")
              for t in range(0, 64 * 40)]
-    assert _digest(lines) == MODULATION_DIGEST
+    assert digest(lines) == MODULATION_DIGEST
