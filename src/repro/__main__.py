@@ -10,7 +10,6 @@ Commands
 ``lint``        run simlint (determinism / engine / calibration / units)
 ``trace``       run a traced experiment, export Chrome trace_event JSON
 ``chaos``       run a fault-injection campaign, verify recovery invariants
-``bench``       measure kernel/pipeline throughput vs the frozen seed kernel
 """
 
 from __future__ import annotations
@@ -152,44 +151,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.bench import (check_regression, load_trajectory,
-                                  render_report, run_bench, trajectory_entry,
-                                  validate_report)
-
-    report = run_bench(quick=args.quick, repeats=args.repeats,
-                       label=args.label)
-    print(render_report(report))
-    problems = validate_report(report)
-    if args.output:
-        output = Path(args.output)
-        output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {output}")
-    if args.append:
-        path = Path(args.append)
-        trajectory = load_trajectory(str(path)) if path.exists() else []
-        trajectory.append(trajectory_entry(report))
-        path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
-        print(f"appended trajectory point to {path} "
-              f"({len(trajectory)} points)")
-    if args.check:
-        trajectory = load_trajectory(args.check)
-        problems += check_regression(report, trajectory,
-                                     tolerance=args.tolerance)
-        if not problems:
-            baseline = trajectory[-1] if trajectory else None
-            label = baseline.get("label", "") if baseline else "(empty)"
-            print(f"regression gate: OK vs baseline {label!r} "
-                  f"(tolerance {args.tolerance:.0%})")
-    if problems:
-        for problem in problems:
-            print(f"BENCH FAILED: {problem}")
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch."""
     parser = argparse.ArgumentParser(
@@ -246,26 +207,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="verify the recovery invariants "
                             "(exit 1 on violations)")
     chaos.set_defaults(func=_cmd_chaos)
-
-    bench = subparsers.add_parser(
-        "bench", help="measure kernel throughput vs the frozen seed kernel")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads, fewer repeats (CI mode)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="best-of-N repeats (default: 2 quick, 3 full)")
-    bench.add_argument("--label", default="",
-                       help="free-form label stamped into the report")
-    bench.add_argument("--output", default=None,
-                       help="write the full report JSON here")
-    bench.add_argument("--append", default=None,
-                       help="append a trajectory point to this BENCH_*.json")
-    bench.add_argument("--check", default=None, metavar="TRAJECTORY",
-                       help="regression-gate against the last point of this "
-                            "BENCH_*.json (exit 1 on regression)")
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed fractional speedup drop vs baseline "
-                            "(default: 0.2)")
-    bench.set_defaults(func=_cmd_bench)
 
     for name, func, help_text in [
         ("quickstart", _cmd_quickstart, "boot the cluster, run HPL"),

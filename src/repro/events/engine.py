@@ -12,41 +12,22 @@ so the simulation code reads like standard discrete-event Python, but the
 implementation is from scratch — no third-party simulation dependency is
 used anywhere in the repository.
 
-Scheduling tiers (the hot-path rework; see docs/ARCHITECTURE.md §1,
-"Kernel performance"):
-
-* **zero-delay FIFO lane** — ``delay == 0.0`` events (process bootstraps,
-  ``succeed``/``fail`` triggers, immediate resumptions, interrupt
-  deliveries) are appended to a deque.  Their fire time is the current
-  instant and their sequence numbers are assigned in append order, so the
-  deque is already sorted by ``(time, seq)`` and the head is always the
-  lane's minimum — no heap traffic at all for the dominant event class.
-* **calendar-bucket wheel** — future events are bucketed by *exact* fire
-  time in a dict, with a heap over the distinct times only.  A thousand
-  same-cadence sampling daemons firing at the same instant cost one heap
-  push per distinct timestamp instead of one per event, and each bucket
-  is drained by index (bucket entries are appended in sequence order, so
-  a bucket never needs sorting).
-
-The pop path merges the tiers by ``(time, seq)``, which makes the event
-ordering *byte-identical* to the seed single-heap kernel preserved in
-:mod:`repro.events._seed`; the equivalence suite replays recorded
-workloads on both and asserts exact order equality.
+The queue is one binary heap of ``(time, seq, event)`` triples (see
+docs/ARCHITECTURE.md §1, "Kernel performance").  The committed digests in
+``tests/test_events_golden.py`` pin the resulting dispatch order.
 
 Observability: an :class:`Engine` optionally carries a tracer
 (:mod:`repro.obs`) in its ``tracer`` attribute.  Every kernel hook is
 guarded by a single ``is not None`` test, so tracing costs nothing when
-disabled.  The engine additionally keeps two deterministic fast-path
-counters (``fifo_hits``, ``wheel_hits``) and exposes ``wheel_depth`` so
-the metrics registry can report how the tiers are being used.
+disabled.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import traceback as _traceback
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
@@ -117,8 +98,7 @@ class _ProcessedCallbacks(list):
     still supported through the kernel APIs: ``yield event`` inside a
     process resumes immediately, and conditions absorb processed children.
 
-    A single shared instance serves every processed event — the seed kernel
-    allocated one per event, which showed up in the hot-path profile.
+    A single shared instance serves every processed event.
     """
 
     __slots__ = ()
@@ -254,8 +234,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         # Slot assignments are written out flat instead of chaining through
         # Event.__init__: timeouts are the single most-constructed object in
         # any simulation, and the extra frame is measurable at that volume.
@@ -267,42 +247,20 @@ class Timeout(Event):
         self.delay = delay = float(delay)
         self._triggered = True
         self._value = value
-        # Inlined Engine._schedule (same tier selection, same counter
-        # consumption order): timeouts are constructed often enough on the
-        # chaos-mix path that the extra call frame shows up in profiles.
-        # Engines with a custom _schedule (``_inline_schedule = False``)
-        # take the dispatching path instead.
-        if not engine._inline_schedule:
-            engine._schedule(self, delay=delay)
-            return
-        if delay == 0.0:
-            engine._fifo.append((engine._now, next(engine._counter), self))
-        else:
-            when = engine._now + delay
-            wheel = engine._wheel
-            bucket = wheel.get(when)
-            if bucket is None:
-                wheel[when] = (next(engine._counter), self)
-                heappush(engine._wheel_times, when)
-            elif type(bucket) is list:
-                bucket.append((next(engine._counter), self))
-            else:
-                wheel[when] = [bucket, (next(engine._counter), self)]
-        engine._pending += 1
+        # Inlined Engine._schedule: the extra call frame shows up in
+        # profiles at this volume.
+        heap = engine._heap
+        heappush(heap, (engine._now + delay, next(engine._counter), self))
         if engine.tracer is not None:
-            engine.tracer.on_event_scheduled(engine._pending)
+            engine.tracer.on_event_scheduled(len(heap))
 
 
 class _Callback(Event):
     """A triggered event that invokes one stored callable when it fires.
 
-    This is what :meth:`Engine.call_at` schedules.  The seed kernel built a
-    :class:`Timeout` plus a fresh ``lambda`` wrapper per call — two extra
-    allocations and an indirect call on a path the chaos injectors and
-    SLURM trace replays hit constantly.  Here the callable is stored in a
-    slot and invoked directly, before any conventionally appended
-    callbacks (the same order the seed wrapper produced, since the wrapper
-    was always the first callback in the list).
+    This is what :meth:`Engine.call_at` schedules.  The callable is stored
+    in a slot and invoked directly, before any conventionally appended
+    callbacks, so no closure is allocated per call.
     """
 
     __slots__ = ("_fn",)
@@ -403,44 +361,18 @@ class Engine:
     start:
         Initial simulated time, in seconds.  Defaults to ``0.0``.
 
-    Scheduling state (three tiers, merged by ``(time, seq)`` on pop):
-
-    * ``_fifo`` — zero-delay lane: ``(time, seq, event)`` deque, appended
-      in sequence order at the then-current time, so it is sorted by
-      construction;
-    * ``_wheel`` / ``_wheel_times`` — calendar buckets: exact fire time →
-      ``[(seq, event), ...]`` (each bucket is append-ordered by sequence),
-      plus a heap over the *distinct* bucket times;
-    * ``_slot`` — the bucket currently being drained, with ``_slot_time``
-      and a read cursor ``_slot_pos``.  A bucket only activates when it
-      holds the global minimum, at which point the simulated clock reaches
-      its time; from then on only FIFO events (or, for pathological
-      sub-resolution delays, a *new* bucket) can share that instant, and
-      both carry later sequence numbers than anything already in the slot
-      except where the pop comparison says otherwise.
+    Scheduled events wait in one heap of ``(time, seq, event)`` triples.
+    ``seq`` comes from a monotone counter, so events due at the same
+    instant fire in the order they were scheduled.
     """
-
-    #: True when hot-path event constructors (:class:`Timeout`) may write
-    #: straight into this engine's scheduling tiers instead of calling
-    #: :meth:`_schedule`.  Any subclass that overrides ``_schedule`` MUST
-    #: set this to False, or constructors will bypass the override.
-    _inline_schedule = True
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._fifo: deque[tuple[float, int, Event]] = deque()
-        self._wheel: dict[float, list[tuple[int, Event]]] = {}
-        self._wheel_times: list[float] = []
-        self._slot: Optional[list[tuple[int, Event]]] = None
-        self._slot_time = 0.0
-        self._slot_pos = 0
-        self._pending = 0
+        if math.isnan(self._now):
+            raise ValueError("start time must be a number, got nan")
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._running = False
-        #: Zero-delay-lane pops (deterministic fast-path counter).
-        self.fifo_hits = 0
-        #: Calendar-bucket pops (deterministic fast-path counter).
-        self.wheel_hits = 0
         #: Failed, processed events whose exception nobody consumed yet.
         #: Insertion-ordered (dict) so diagnostics are deterministic.
         self._failures: dict[Event, FailureRecord] = {}
@@ -453,7 +385,7 @@ class Engine:
         # ``engine.event()`` resolve to these C-level partials instead of
         # the method wrappers below, skipping one Python call frame on the
         # two hottest construction paths.  The methods remain on the class
-        # as documentation and as the fallback for subclasses.
+        # as documentation.
         self.timeout = functools.partial(Timeout, self)
         self.event = functools.partial(Event, self)
 
@@ -465,13 +397,8 @@ class Engine:
 
     @property
     def queue_depth(self) -> int:
-        """Events scheduled but not yet dispatched, across all tiers."""
-        return self._pending
-
-    @property
-    def wheel_depth(self) -> int:
-        """Distinct future timestamps currently held in calendar buckets."""
-        return len(self._wheel) + (1 if self._slot is not None else 0)
+        """Events scheduled but not yet dispatched."""
+        return len(self._heap)
 
     # -- failure ledger -----------------------------------------------------
     @property
@@ -541,60 +468,20 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay == 0.0:
-            # Zero-delay lane: fire time is the current instant and the
-            # sequence counter is monotone, so appending keeps the deque
-            # sorted by (time, seq) with its minimum at the head.
-            self._fifo.append((self._now, next(self._counter), event))
-        else:
-            when = self._now + delay
-            bucket = self._wheel.get(when)
-            if bucket is None:
-                # Singleton bucket: a bare (seq, event) tuple.  Scattered
-                # timestamps (the chaos-mix shape) never pay for a list;
-                # one is only materialised when a second event lands on
-                # the same instant.
-                self._wheel[when] = (next(self._counter), event)
-                heappush(self._wheel_times, when)
-            elif type(bucket) is list:
-                bucket.append((next(self._counter), event))
-            else:
-                self._wheel[when] = [bucket, (next(self._counter), event)]
-        self._pending += 1
+        heap = self._heap
+        heappush(heap, (self._now + delay, next(self._counter), event))
         if self.tracer is not None:
-            self.tracer.on_event_scheduled(self._pending)
-
-    def _activate_pop(self) -> tuple[float, Event]:
-        """Pop the earliest calendar bucket's first event.
-
-        The caller has already established that this bucket holds the
-        global minimum.  A single-event bucket (the common shape for
-        scattered timestamps) is consumed without touching the slot
-        state at all; a multi-event bucket becomes the active slot with
-        its read cursor past the entry returned here.
-        """
-        when = heappop(self._wheel_times)
-        bucket = self._wheel.pop(when)
-        self._pending -= 1
-        self.wheel_hits += 1
-        if type(bucket) is tuple:
-            return when, bucket[1]
-        self._slot = bucket
-        self._slot_time = when
-        self._slot_pos = 1
-        return when, bucket[0][1]
+            self.tracer.on_event_scheduled(len(heap))
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulated time ``when``.
 
         Returns the scheduled event (a :class:`_Callback`): waiters may
         still append conventional callbacks to it, which run after
-        ``callback`` itself, exactly as with the seed kernel's
-        Timeout-plus-wrapper shape — but without allocating a closure per
-        call.
+        ``callback`` itself.
         """
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        if not when >= self._now:  # also rejects NaN
+            raise ValueError(f"cannot schedule at {when}: now is {self._now}")
         return _Callback(self, when - self._now, callback)
 
     # -- execution ----------------------------------------------------------
@@ -605,64 +492,8 @@ class Engine:
         its exception (and without being defused) enters the
         unconsumed-failure ledger; :meth:`run` raises a diagnostic if the
         simulation drains while the ledger is non-empty.
-
-        The three scheduling tiers are merged by ``(time, seq)`` directly
-        in this method — an active calendar slot can only be preempted by
-        the FIFO lane (at the same instant with an older sequence number),
-        the FIFO head competes with the earliest wheel bucket, and an
-        empty queue raises exactly like the seed kernel's ``heappop``.
         """
-        fifo = self._fifo
-        slot = self._slot
-        if slot is not None:
-            pos = self._slot_pos
-            entry = slot[pos]
-            if fifo:
-                head = fifo[0]
-                slot_time = self._slot_time
-                if head[0] < slot_time or (head[0] == slot_time
-                                           and head[1] < entry[0]):
-                    del fifo[0]
-                    self._pending -= 1
-                    self.fifo_hits += 1
-                    when = head[0]
-                    event = head[2]
-                    entry = None
-            if entry is not None:
-                pos += 1
-                if pos == len(slot):
-                    self._slot = None
-                else:
-                    self._slot_pos = pos
-                self._pending -= 1
-                self.wheel_hits += 1
-                when = self._slot_time
-                event = entry[1]
-        elif fifo:
-            head = fifo[0]
-            times = self._wheel_times
-            take_fifo = True
-            if times:
-                wtime = times[0]
-                if wtime < head[0]:
-                    take_fifo = False
-                elif wtime == head[0]:
-                    bucket = self._wheel[wtime]
-                    seq0 = bucket[0] if type(bucket) is tuple else bucket[0][0]
-                    if seq0 < head[1]:
-                        take_fifo = False
-            if take_fifo:
-                del fifo[0]
-                self._pending -= 1
-                self.fifo_hits += 1
-                when = head[0]
-                event = head[2]
-            else:
-                when, event = self._activate_pop()
-        else:
-            if not self._wheel_times:
-                raise IndexError("pop from an empty event queue")
-            when, event = self._activate_pop()
+        when, _, event = heappop(self._heap)
         self._now = when
         if self.tracer is not None:
             self.tracer.on_event_processed()
@@ -681,14 +512,8 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
-        if self._slot is not None:
-            # An active slot is always at (or tied with) the minimum: its
-            # time is the instant currently being drained.
-            return self._slot_time
-        best = self._fifo[0][0] if self._fifo else float("inf")
-        if self._wheel_times and self._wheel_times[0] < best:
-            return self._wheel_times[0]
-        return best
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the event loop.
@@ -712,17 +537,17 @@ class Engine:
             raise SimulationError("engine is already running")
         self._running = True
         try:
+            heap = self._heap
             step = self.step
             if until is None:
-                while self._pending:
+                while heap:
                     step()
             else:
-                peek = self.peek
-                while self._pending and peek() <= until:
+                while heap and heap[0][0] <= until:
                     step()
                 if self._now < until:
                     self._now = until
-            if not self._pending:
+            if not heap:
                 self.check_failures()
         finally:
             self._running = False
@@ -731,22 +556,20 @@ class Engine:
         """Run until ``process`` has fired, returning its value.
 
         ``limit`` bounds runaway simulations; exceeding it raises
-        :class:`SimulationError`.  (The seed kernel computed ``peek()``
-        twice per drain iteration; here each loop reads the next fire time
-        exactly once.)
+        :class:`SimulationError`.
         """
+        heap = self._heap
         step = self.step
-        peek = self.peek
         while not process.triggered:
-            if not self._pending:
+            if not heap:
                 raise SimulationError("deadlock: event queue drained before process finished")
-            if peek() > limit:
+            if heap[0][0] > limit:
                 raise SimulationError(f"simulation exceeded time limit {limit}")
             step()
         # drain the zero-delay callbacks so the process is fully processed
-        while not process.processed and self._pending and peek() <= self._now:
+        while not process.processed and heap and heap[0][0] <= self._now:
             step()
         return process.value  # a failed process raises here (and is defused)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Engine t={self._now:.6f} queued={self._pending}>"
+        return f"<Engine t={self._now:.6f} queued={len(self._heap)}>"

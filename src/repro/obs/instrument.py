@@ -38,22 +38,13 @@ def detach_tracer(engine: Any) -> None:
 
 def register_engine_metrics(registry: MetricsRegistry, engine: Any,
                             prefix: str = "engine") -> None:
-    """Expose the kernel's scheduling-tier usage as read-through gauges.
+    """Expose the engine's queue depth as a read-through gauge.
 
-    ``fifo_hits`` / ``wheel_hits`` are the engine's deterministic
-    fast-path counters (how many pops the zero-delay lane and the
-    calendar buckets served); ``wheel_depth`` is the number of distinct
-    future timestamps currently bucketed.  Together they say *why* a
-    workload is fast or slow on the tiered scheduler — a wheel_depth
-    that tracks queue_depth means the workload has no timestamp sharing
-    for the wheel to exploit.
+    ``{prefix}.queue_depth`` reads :attr:`Engine.queue_depth` (events
+    scheduled but not yet dispatched) each time the registry is read.
     """
     registry.gauge_callback(f"{prefix}.queue_depth",
                             lambda: engine.queue_depth)
-    registry.gauge_callback(f"{prefix}.wheel_depth",
-                            lambda: engine.wheel_depth)
-    registry.gauge_callback(f"{prefix}.fifo_hits", lambda: engine.fifo_hits)
-    registry.gauge_callback(f"{prefix}.wheel_hits", lambda: engine.wheel_hits)
 
 
 def register_broker_metrics(registry: MetricsRegistry, broker: Any,

@@ -21,6 +21,10 @@ class TestClock:
     def test_peek_empty_queue_is_inf(self):
         assert Engine().peek() == float("inf")
 
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError):
+            Engine(start=float("nan"))
+
 
 class TestTimeout:
     def test_timeout_fires_at_delay(self):
@@ -41,6 +45,12 @@ class TestTimeout:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Engine().timeout(-1.0)
+
+    def test_nan_delay_rejected(self):
+        eng = Engine()
+        with pytest.raises(ValueError):
+            eng.timeout(float("nan"))
+        assert eng.queue_depth == 0
 
     def test_zero_delay_fires_immediately(self):
         eng = Engine()
@@ -176,6 +186,15 @@ class TestRunSemantics:
         eng.run(until=5.0)
         with pytest.raises(ValueError):
             eng.call_at(1.0, lambda: None)
+
+    def test_call_at_nan_rejected(self):
+        eng = Engine()
+        fired = []
+        eng.timeout(3.0).callbacks.append(lambda e: fired.append(eng.now))
+        with pytest.raises(ValueError):
+            eng.call_at(float("nan"), lambda: None)
+        eng.run(until=5.0)
+        assert fired == [3.0]
 
     def test_run_until_complete_detects_deadlock(self):
         eng = Engine()
