@@ -127,6 +127,27 @@ class TestPowerCycleCoherence:
         assert node.state is NodeState.TRIPPED
 
 
+class TestServiceNode:
+    def test_service_refuses_untripped_node(self, cluster):
+        with pytest.raises(RuntimeError, match="not tripped"):
+            cluster.service_node("mc-node-1")
+        assert cluster.nodes["mc-node-1"].state is NodeState.IDLE
+        assert cluster.engine.unconsumed_failures == []
+
+    def test_service_gives_up_when_guard_expires_before_cooling(self,
+                                                                cluster):
+        api = SlurmAPI(cluster.slurm)
+        api.sbatch("hpl", "a", nodes=8, duration_s=600.0,
+                   profile=HPL_PROFILE)
+        cluster.run_for(200.0)
+        cluster.inject_node_failure("mc-node-1")
+        assert cluster.nodes["mc-node-1"].cpu_temperature_c() > 32.0
+        with pytest.raises(RuntimeError, match="failed to cool"):
+            cluster.service_node("mc-node-1", cooldown_guard_s=5.0)
+        assert cluster.nodes["mc-node-1"].state is NodeState.TRIPPED
+        assert cluster.engine.unconsumed_failures == []
+
+
 class TestTripCampaign:
     def test_sweep_covers_lifecycle_and_converges(self):
         from repro.slurm.faults import run_trip_campaign

@@ -11,6 +11,8 @@ change anywhere shows up.
 * The same under dynamic thermal management, which throttles nodes
   through ``set_frequency_scale``.
 * A node tripped mid-job and serviced back into the pool.
+* A node tripped hot and serviced at once, so the service waits for it
+  to cool before the reboot.
 * The Fig. 3 benchmark power series and the Fig. 4 boot traces.
 * The scalar phase modulation on a grid of sample times.
 """
@@ -37,6 +39,8 @@ NODE_DIGESTS = {
         "ca6dccd78d0b263d346315fd02d650da0d56c11595b0709bfc033f846885a05c",
     "trip_and_service":
         "6c16152a23ae5b6703f04436ec13709e7bd4292a3b33b1a71409d06aaf477b15",
+    "service_cooldown":
+        "55c70b18c714b714a2fd9ed163447365f6aa2f673b18c5d60d21c171d73d09d6",
 }
 
 FIG3_DIGEST = (
@@ -131,10 +135,28 @@ def run_trip_and_service():
     return cluster_digest(cluster, [victim, repr(job.state), repr(job.attempts)])
 
 
+def run_service_cooldown():
+    # An 8-node --requeue HPL run in the runaway-prone enclosure loses a
+    # hot node at t=300 s, which is serviced at once: the service spends
+    # 54 ten-second polls waiting for the board to cool below 32 °C.
+    cluster = _booted(EnclosureConfig.original())
+    job = cluster.slurm.submit(name="hpl", user="alice", n_nodes=8,
+                               duration_s=600.0, profile=HPL_PROFILE,
+                               requeue=True)
+    cluster.run_for(300.0 - cluster.engine.now)
+    victim = "mc-node-3"
+    assert victim in job.allocated_nodes
+    cluster.inject_node_failure(victim)
+    cluster.service_node(victim)
+    cluster.run_for(1500.0)
+    return cluster_digest(cluster, [victim, repr(job.state), repr(job.attempts)])
+
+
 @pytest.mark.parametrize("case,run", [
     ("replay", run_replay),
     ("dtm", run_dtm),
     ("trip_and_service", run_trip_and_service),
+    ("service_cooldown", run_service_cooldown),
 ])
 def test_node_state_digest(case, run):
     assert run() == NODE_DIGESTS[case]

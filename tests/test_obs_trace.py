@@ -1,5 +1,6 @@
 """Tests for the observability layer: spans, metrics, exporters, CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -394,6 +395,13 @@ class TestTracedExperiments:
         assert attempts[1].attributes["outcome"] == "CD"
         assert tracer.metrics.snapshot()["slurm.requeues"] == 1
         assert validate_chrome_trace(to_chrome_trace(tracer)) == []
+
+    def test_fault_recovery_chrome_trace_digest(self):
+        # Pins the trip -> requeue -> drain/cool/reboot/resume path span for
+        # span: the SHA-256 of the default run's Chrome export.
+        text = chrome_trace_json(trace_fault_recovery())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "25027bd6453bb1eee42c0131133bf06831a36246a2be61187c80e22d6b3b8562")
 
 
 class TestCLI:
