@@ -7,16 +7,11 @@ policies in every layer the paper's production stack has: monitoring
 SLURM's drain→resume).  See ``docs/ARCHITECTURE.md`` ("Chaos & graceful
 degradation") for the taxonomy and the invariant-checker contract.
 
-Only the dependency-free pieces are re-exported here: the sampling
-plugins and the MPI retry path import :mod:`repro.chaos.backoff`, so
-this package must not eagerly import the scenario layer (which imports
-them back).  Campaign consumers import :mod:`repro.chaos.scenarios` and
+Campaign consumers import :mod:`repro.chaos.scenarios` and
 :mod:`repro.chaos.check` directly.
 """
 
-from repro.chaos.backoff import ExponentialBackoff
 from repro.chaos.faults import ChaosLog, FaultEvent, FaultKind
 from repro.chaos.schedule import ChaosSchedule
 
-__all__ = ["ChaosLog", "ChaosSchedule", "ExponentialBackoff", "FaultEvent",
-           "FaultKind"]
+__all__ = ["ChaosLog", "ChaosSchedule", "FaultEvent", "FaultKind"]

@@ -7,11 +7,6 @@ carrying everything the invariant checker
 (:func:`repro.chaos.check.run_checks`) needs.  Scenarios are pure
 functions of their seed: two runs with the same seed produce
 byte-identical chaos logs (the CLI's determinism contract).
-
-This module imports the whole vertical (cluster, ExaMon, network,
-services) and is therefore *not* re-exported from ``repro.chaos`` —
-low-level consumers of :mod:`repro.chaos.backoff` (the plugins, the MPI
-retry path) must not drag the world in through their import.
 """
 
 from __future__ import annotations

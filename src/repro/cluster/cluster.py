@@ -164,22 +164,13 @@ class MonteCimoneCluster:
                      cooldown_guard_s: float = 3600.0) -> None:
         """Return a tripped node to service after maintenance.
 
-        Waits (in simulated time) for the board to cool below
-        ``cool_below_c`` before rebooting, as any operator would.
+        Runs the simulation through :meth:`service_node_process` (cool
+        below ``cool_below_c``, then reboot), then resumes the node's
+        partition entries.
         """
-        node = self.nodes[hostname]
-        if node.state is not NodeState.TRIPPED:
-            raise RuntimeError(f"{hostname} is {node.state}, not tripped")
-        guard = self.engine.now + cooldown_guard_s
-        while node.cpu_temperature_c() > cool_below_c:
-            if self.engine.now > guard:
-                raise RuntimeError(f"{hostname} failed to cool below "
-                                   f"{cool_below_c} °C within the guard time")
-            self.run_for(10.0)
-        node.state = NodeState.OFF
-        self.watchdog.reset(hostname)
-        self.engine.run_until_complete(
-            self.engine.spawn(node.boot_process(self.engine)))
+        self.engine.run_until_complete(self.engine.spawn(
+            self.service_node_process(hostname, cool_below_c,
+                                      cooldown_guard_s)))
         for partition in self.slurm.partitions.values():
             if hostname in partition.nodes:
                 partition.nodes[hostname].resume()
@@ -187,14 +178,17 @@ class MonteCimoneCluster:
     def service_node_process(self, hostname: str, cool_below_c: float = 32.0,
                              cooldown_guard_s: float = 3600.0
                              ) -> Generator[Event, None, None]:
-        """Cooperative (in-simulation) version of :meth:`service_node`.
+        """Service a tripped node: wait for it to cool, then reboot it.
 
-        Waits for the tripped board to cool, then reboots it — all by
-        yielding events, so it can run *inside* the simulation (the
-        controller's automatic node-recovery lifecycle drives it while the
-        rest of the cluster keeps running).  Scheduler-side state is the
-        caller's responsibility, matching ``enable_node_recovery``'s
-        contract (the controller resumes the node itself).
+        Polls the SoC temperature every 10 s of simulated time until it
+        drops below ``cool_below_c`` (raising ``RuntimeError`` once
+        ``cooldown_guard_s`` has passed), then boots the node.  Everything
+        happens by yielding events, so the controller's automatic
+        node-recovery lifecycle runs it while the rest of the cluster keeps
+        going, and :meth:`service_node` runs it to completion.
+        Scheduler-side state is the caller's responsibility, matching
+        ``enable_node_recovery``'s contract (the controller resumes the
+        node itself).
         """
         node = self.nodes[hostname]
         if node.state is not NodeState.TRIPPED:

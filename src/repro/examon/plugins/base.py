@@ -26,7 +26,7 @@ from collections import deque
 from itertools import islice
 from typing import Deque, Dict, Generator, Optional, Tuple
 
-from repro.chaos.backoff import ExponentialBackoff
+from repro.events.backoff import ExponentialBackoff
 from repro.events.engine import Engine, Event
 from repro.examon.broker import BrokerUnavailableError, MQTTBroker
 from repro.examon.payload import encode_payload

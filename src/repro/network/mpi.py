@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.chaos.backoff import ExponentialBackoff
+from repro.events.backoff import ExponentialBackoff
 from repro.network.link import LinkDownError
 from repro.network.topology import ClusterTopology
 

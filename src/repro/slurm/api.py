@@ -39,8 +39,10 @@ class SlurmAPI:
         """Submit a batch job; returns the job id (like ``sbatch``'s stdout).
 
         ``depends_on`` is ``--dependency=afterok:<id>[,<id>...]``;
-        ``requeue`` is ``--requeue``: retry the job (with exponential
-        backoff) when a node failure kills it, up to ``max_requeues`` times.
+        ``requeue`` is ``--requeue``: retry the job when a node failure
+        kills it, up to ``max_requeues`` times, each retry delayed by the
+        job's :class:`~repro.events.backoff.ExponentialBackoff` (base
+        ``requeue_backoff_s``, doubling per restart).
         """
         job = self.controller.submit(
             name=name, user=user, n_nodes=nodes, duration_s=duration_s,

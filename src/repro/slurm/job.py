@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
+from repro.events.backoff import ExponentialBackoff
 from repro.power.model import IDLE_PROFILE, WorkloadProfile
 
 __all__ = ["Job", "JobAttempt", "JobState"]
@@ -85,9 +87,14 @@ class Job:
     #: ``max_requeues``) after an exponential backoff instead of failing.
     requeue: bool = False
     max_requeues: int = 3
-    #: Base of the exponential backoff: attempt *n* waits
-    #: ``requeue_backoff_s * 2**(n-1)`` before re-entering the queue.
+    #: Base of the requeue backoff: a job that lost attempt *n* waits
+    #: ``requeue_backoff.delay(n - 1)``, i.e. ``requeue_backoff_s *
+    #: 2**(n-1)``, before re-entering the queue.
     requeue_backoff_s: float = 30.0
+    #: The :class:`ExponentialBackoff` (factor 2, uncapped, no jitter) that
+    #: computes those delays; it rejects a base that is not positive.
+    requeue_backoff: ExponentialBackoff = field(init=False, repr=False,
+                                                compare=False)
     #: Number of times the job has been requeued so far.
     restart_count: int = 0
     #: Per-attempt accounting records (including the final attempt).
@@ -107,8 +114,8 @@ class Job:
             raise ValueError("time limit must be positive")
         if self.max_requeues < 0:
             raise ValueError("max_requeues cannot be negative")
-        if self.requeue_backoff_s < 0:
-            raise ValueError("requeue backoff cannot be negative")
+        self.requeue_backoff = ExponentialBackoff(
+            base_s=self.requeue_backoff_s, factor=2.0, max_s=math.inf)
 
     @property
     def wait_time_s(self) -> Optional[float]:

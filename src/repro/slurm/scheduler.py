@@ -112,8 +112,9 @@ class SlurmController:
         ``depends_on`` lists job ids this job must wait for
         (``--dependency=afterok`` semantics).  ``requeue`` enables
         ``sbatch --requeue`` behaviour: a NODE_FAIL outcome puts the job
-        back in the queue after an exponential backoff
-        (``requeue_backoff_s * 2**restarts``) for up to ``max_requeues``
+        back in the queue after an exponential backoff (the job's
+        :class:`~repro.events.backoff.ExponentialBackoff`,
+        ``requeue_backoff_s * 2**restarts``) for up to ``max_requeues``
         retries, each attempt recorded in the job's accounting history.
         """
         part = self.partitions.get(partition) if partition else self.default_partition()
@@ -363,7 +364,7 @@ class SlurmController:
             backoff_s=backoff_s))
 
     def _requeue(self, job: Job, reason: str) -> None:
-        backoff = job.requeue_backoff_s * (2 ** job.restart_count)
+        backoff = job.requeue_backoff.delay(job.restart_count)
         self._record_attempt(job, JobState.NODE_FAIL, reason,
                              backoff_s=backoff)
         job.restart_count += 1

@@ -6,9 +6,11 @@ resistance.  The classic first-order response
 
     ``C dT/dt = P - (T - T_ambient) / R``
 
-is integrated with an exact exponential step, so large simulation steps
-remain stable — important because the cluster simulation advances thermal
-state at the stats_pub sampling period (5 s), not at a control-loop rate.
+is integrated with an exact exponential step, so a step of any length is
+stable.  The cluster simulation advances thermal state once per simulated
+second: a running job's one-second execution slices, and the thermal
+watchdog's ``THERMAL_SAMPLE_S`` = 1 s sync of every other node
+(``repro.cluster.cluster``).
 """
 
 from __future__ import annotations

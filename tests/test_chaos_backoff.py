@@ -1,7 +1,7 @@
 """Property tests pinning the ExponentialBackoff contract.
 
-The chaos harness leans on three guarantees (see the module docstring of
-``repro.chaos.backoff``): the nominal schedule is monotone and capped,
+Every retry loop leans on three guarantees (see the module docstring of
+``repro.events.backoff``): the nominal schedule is monotone and capped,
 jitter only ever shortens a delay, and the whole stream is a pure
 function of the constructor arguments.  Hypothesis explores the
 parameter space; a few example-based tests pin the exact arithmetic.
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.backoff import ExponentialBackoff
+from repro.events.backoff import ExponentialBackoff
 
 _PARAMS = {
     "base_s": st.floats(min_value=1e-3, max_value=10.0,

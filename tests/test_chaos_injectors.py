@@ -9,7 +9,6 @@ metrics and recovery spans, plus the transfer-argument validation on
 
 import pytest
 
-from repro.chaos.backoff import ExponentialBackoff
 from repro.chaos.faults import ChaosLog
 from repro.chaos.injectors import (BrokerOutageInjector, LinkFaultInjector,
                                    SensorFaultInjector,
@@ -19,6 +18,7 @@ from repro.cluster.services.base import ServiceUnavailableError
 from repro.cluster.services.ldap import LDAPServer
 from repro.cluster.services.nfs import NFSServer
 from repro.events import Engine
+from repro.events.backoff import ExponentialBackoff
 from repro.examon.broker import BrokerUnavailableError, MQTTBroker
 from repro.examon.payload import decode_payload
 from repro.examon.plugins.pmu_pub import PmuPubPlugin

@@ -148,30 +148,53 @@ class TestServiceNode:
         assert cluster.engine.unconsumed_failures == []
 
 
-class TestTripCampaign:
-    def test_sweep_covers_lifecycle_and_converges(self):
-        from repro.slurm.faults import run_trip_campaign
+class TestTripSweep:
+    # Boot completes 21 s in; the 120 s --requeue job then runs on every
+    # node.  The three trip times land before boot finishes, inside
+    # attempt 1, and after the last attempt ends.  A boot-time trip delays
+    # the job (it waits for the node's recovery) but never fails it; a
+    # mid-job trip costs one NODE_FAIL attempt plus the requeued retry; a
+    # post-job trip does not touch the job.
+    @pytest.mark.parametrize("trip_s,phase,attempts,restarts", [
+        (10.0, "boot", 1, 0),
+        (90.0, "mid-job", 2, 1),
+        (200.0, "teardown", 1, 0),
+    ])
+    def test_trip_recovers_and_job_completes(self, trip_s, phase, attempts,
+                                             restarts):
+        victim = "mc-node-3"
+        cluster = MonteCimoneCluster(
+            enclosure_config=EnclosureConfig.mitigated())
+        cluster.enable_auto_recovery(delay_s=30.0)
+        cluster.engine.call_at(
+            trip_s, lambda: cluster.inject_node_failure(victim))
+        cluster.boot_all()
+        boot_done_s = cluster.engine.now
+        api = SlurmAPI(cluster.slurm)
+        job_id = api.sbatch("hpl", "ops", nodes=8, duration_s=120.0,
+                            profile=HPL_PROFILE, requeue=True,
+                            requeue_backoff_s=20.0)
+        api.wait_all()
+        # Let a post-job trip fire and the node's recovery finish.
+        cluster.run_for(2400.0)
 
-        # Boot completes ~21 s in; the 120 s job then occupies all nodes.
-        # Three trip times land one trial in each lifecycle phase.
-        campaign = run_trip_campaign([10.0, 90.0, 200.0])
-        assert campaign.phases_covered() == ["boot", "mid-job", "teardown"]
-        assert campaign.all_jobs_completed
-        assert campaign.all_nodes_recovered
-        # Crucially: no injected fault was silently lost by the kernel.
-        assert campaign.no_lost_failures
-
-        boot, mid, tail = campaign.trials
-        # A boot-time trip delays the job (it waits for recovery) but never
-        # fails it; a mid-job trip costs one NODE_FAIL attempt plus the
-        # requeued retry; a post-job trip does not touch the job at all.
-        assert boot.n_attempts == 1 and boot.restart_count == 0
-        assert mid.n_attempts == 2 and mid.restart_count == 1
-        assert tail.n_attempts == 1 and tail.restart_count == 0
-
-        report = campaign.summary()
-        assert len(report.splitlines()) == 1 + len(campaign.trials)
-        assert "mid-job" in report
+        job = cluster.slurm.jobs[job_id]
+        first, last = job.attempts[0], job.attempts[-1]
+        if trip_s < boot_done_s:
+            landed = "boot"
+        elif first.start_time_s < trip_s <= first.end_time_s:
+            landed = "mid-job"
+        elif trip_s > last.end_time_s:
+            landed = "teardown"
+        else:
+            landed = "between attempts"
+        assert landed == phase
+        assert (len(job.attempts), job.restart_count) == (attempts, restarts)
+        assert job.state is JobState.COMPLETED
+        info = cluster.slurm.partitions["compute"].nodes[victim]
+        assert info.state is NodeAllocState.IDLE
+        # No injected fault was silently lost by the kernel.
+        assert cluster.engine.unconsumed_failures == []
 
 
 class TestSchedulerUnderCancellationStorm:

@@ -25,6 +25,10 @@ class TestJob:
             Job(job_id=1, name="j", user="u", n_nodes=0, duration_s=1.0)
         with pytest.raises(ValueError):
             Job(job_id=1, name="j", user="u", n_nodes=1, duration_s=-1.0)
+        for backoff_s in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                Job(job_id=1, name="j", user="u", n_nodes=1, duration_s=1.0,
+                    requeue_backoff_s=backoff_s)
 
     def test_terminal_states(self):
         assert not JobState.PENDING.is_terminal
