@@ -183,8 +183,8 @@ class ComputeNode:
         Drives core counters, procfs statistics, thermal state and the
         power-rail energy integrals coherently with the active profile.
         """
-        if dt_s < 0:
-            raise ValueError("negative time step")
+        if not dt_s >= 0:  # also rejects NaN
+            raise ValueError(f"negative time step {dt_s}")
         self._now_s += dt_s
         profile = self.active_profile
         board = self.board

@@ -10,8 +10,9 @@ tests assert against, keeping the substitution honest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 __all__ = ["ProcFS", "CpuTimes"]
 
@@ -66,6 +67,9 @@ class ProcFS:
         self.mem_free = dram_bytes
         self.mem_buff = 0
         self.mem_cach = 0
+        #: (dt_s, utilisation, sys_fraction, wait_fraction, *increments)
+        #: of the last :meth:`account_cpu` call; filled on first use.
+        self._cpu_memo: Optional[tuple] = None
 
     # -- lifecycle hooks -----------------------------------------------------
     def account_cpu(self, dt_s: float, utilisation: float,
@@ -75,23 +79,47 @@ class ProcFS:
         ``utilisation`` is the busy fraction across cores; of the busy
         share, ``sys_fraction`` is kernel time.  Interrupt and context-
         switch counters advance at activity-scaled rates.
+
+        The per-interval increments depend on the four arguments alone, so
+        the last set is kept, keyed on all four; the counters accumulate
+        them every call, in the same order as a fresh evaluation.
         """
-        if dt_s < 0:
-            raise ValueError("negative interval")
-        ticks = dt_s * self.USER_HZ * self.n_cores
-        busy = ticks * utilisation
-        wait = ticks * wait_fraction
-        self.cpu.usr += busy * (1.0 - sys_fraction)
-        self.cpu.sys += busy * sys_fraction
-        self.cpu.wai += wait
-        self.cpu.idl += max(ticks - busy - wait, 0.0)
-        self.interrupts_total += int(dt_s * (250 + 4000 * utilisation))
-        self.context_switches_total += int(dt_s * (500 + 9000 * utilisation))
-        # Exponentially-smoothed load averages driven by the run queue.
-        runnable = utilisation * self.n_cores
-        self.load_1m += min(dt_s / 60.0, 1.0) * (runnable - self.load_1m)
-        self.load_5m += min(dt_s / 300.0, 1.0) * (runnable - self.load_5m)
-        self.load_15m += min(dt_s / 900.0, 1.0) * (runnable - self.load_15m)
+        memo = self._cpu_memo
+        if (memo is None or memo[0] != dt_s or memo[1] != utilisation
+                or memo[2] != sys_fraction or memo[3] != wait_fraction):
+            # A hit matches a call already checked here, and NaN matches
+            # nothing, so checking on a miss checks every call.
+            if not dt_s >= 0:  # also rejects NaN
+                raise ValueError("negative interval")
+            if any(math.isnan(x)
+                   for x in (utilisation, sys_fraction, wait_fraction)):
+                raise ValueError("NaN utilisation or fraction")
+            ticks = dt_s * self.USER_HZ * self.n_cores
+            busy = ticks * utilisation
+            wait = ticks * wait_fraction
+            memo = self._cpu_memo = (
+                dt_s, utilisation, sys_fraction, wait_fraction,
+                busy * (1.0 - sys_fraction), busy * sys_fraction, wait,
+                max(ticks - busy - wait, 0.0),
+                int(dt_s * (250 + 4000 * utilisation)),
+                int(dt_s * (500 + 9000 * utilisation)),
+                # Exponentially-smoothed load averages driven by the run
+                # queue: the run-queue length and the three gains.
+                utilisation * self.n_cores,
+                min(dt_s / 60.0, 1.0), min(dt_s / 300.0, 1.0),
+                min(dt_s / 900.0, 1.0))
+        (_, _, _, _, usr, system, wait, idl, interrupts, context_switches,
+         runnable, gain_1m, gain_5m, gain_15m) = memo
+        cpu = self.cpu
+        cpu.usr += usr
+        cpu.sys += system
+        cpu.wai += wait
+        cpu.idl += idl
+        self.interrupts_total += interrupts
+        self.context_switches_total += context_switches
+        self.load_1m += gain_1m * (runnable - self.load_1m)
+        self.load_5m += gain_5m * (runnable - self.load_5m)
+        self.load_15m += gain_15m * (runnable - self.load_15m)
 
     def update_memory(self, usage: Dict[str, int]) -> None:
         """Mirror the DDR subsystem's usage split (used/free/buff/cach)."""

@@ -232,6 +232,12 @@ class CoreComplex:
         return sum(c.hpm.read_event("fp_ops") for c in self.cores)
 
     def idle(self, duration_s: float) -> None:
-        """Advance every core through an OS-idle interval."""
+        """Advance every core through an OS-idle interval.
+
+        Does what :meth:`U74Core.idle` does on each core, with the shared
+        idle activity looked up once for the whole complex.
+        """
+        activity = _idle_activity(duration_s)
         for core in self.cores:
-            core.idle(duration_s)
+            core.advance(activity)
+            core._current_utilisation = 0.0

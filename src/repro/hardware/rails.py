@@ -87,11 +87,12 @@ class PowerRail:
         the last update (zero-order hold), which matches how the 1 ms
         averaging windows of Fig. 3 are produced from raw samples.
         """
-        if power_w < 0:
+        if not power_w >= 0:  # also rejects NaN
             raise ValueError(f"negative power {power_w} on rail {self.name}")
         dt = now_s - self._last_update_s
-        if dt < 0:
-            raise ValueError(f"time went backwards on rail {self.name}")
+        if not dt >= 0:  # also rejects a NaN time
+            raise ValueError(
+                f"time went backwards on rail {self.name}: {now_s}")
         self._energy_j += self._power_w * dt
         self._power_w = power_w
         self._last_update_s = now_s

@@ -41,11 +41,14 @@ class ThermalRC:
     resistance_k_per_w: float
     capacitance_j_per_k: float
     temperature_c: float = 25.0
+    #: (dt_s, time constant, decay factor) of the last :meth:`step`; not
+    #: a field, so equality and ``repr`` ignore it.
+    _decay_memo = None
 
     def __post_init__(self) -> None:
-        if self.resistance_k_per_w <= 0:
+        if not self.resistance_k_per_w > 0:  # also rejects NaN
             raise ValueError("thermal resistance must be positive")
-        if self.capacitance_j_per_k <= 0:
+        if not self.capacitance_j_per_k > 0:
             raise ValueError("thermal capacitance must be positive")
 
     @property
@@ -61,12 +64,25 @@ class ThermalRC:
         """Advance the RC by ``dt_s`` seconds under constant power.
 
         Uses the exact exponential solution, so any step size is stable.
-        Returns the new temperature.
+        Returns the new temperature.  The decay factor ``exp(-dt/τ)`` of
+        the last step is kept, keyed on ``dt_s`` and τ = R·C; τ is
+        recomputed every call, so a change of R (``set_enclosure``)
+        misses the memo.
         """
-        if dt_s < 0:
-            raise ValueError(f"negative time step {dt_s}")
-        target = self.steady_state_c(power_w, ambient_c)
-        alpha = math.exp(-dt_s / self.time_constant_s)
+        r = self.resistance_k_per_w
+        tau = r * self.capacitance_j_per_k
+        memo = self._decay_memo
+        if memo is not None and memo[0] == dt_s and memo[1] == tau:
+            alpha = memo[2]
+        else:
+            # A hit matches a step already checked here, and NaN matches
+            # nothing, so checking on a miss checks every step.
+            if not dt_s >= 0:  # also rejects NaN
+                raise ValueError(f"negative time step {dt_s}")
+            alpha = math.exp(-dt_s / tau)
+            self._decay_memo = (dt_s, tau, alpha)
+        # steady_state_c, inline.
+        target = ambient_c + power_w * r
         self.temperature_c = target + (self.temperature_c - target) * alpha
         return self.temperature_c
 

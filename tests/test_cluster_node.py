@@ -85,6 +85,14 @@ class TestWorkloadExecution:
         booted_node.advance(10.0)
         assert booted_node.board.cores.total_instructions() > before
 
+    def test_nan_step_rejected_before_the_clock_moves(self, booted_node):
+        with pytest.raises(ValueError):
+            booted_node.advance(float("nan"))
+        core = booted_node.board.cores.cores[0]
+        cycles = core.hpm.cycle
+        booted_node.sync_to(22.0)  # one second after boot
+        assert core.hpm.cycle - cycles == int(core.soc.clock_hz)
+
     def test_sync_to_is_idempotent(self, booted_node):
         booted_node.begin_workload(HPL_PROFILE, 22.0)
         booted_node.sync_to(30.0)

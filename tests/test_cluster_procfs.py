@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.procfs import CpuTimes, ProcFS
 
 GIB = 1024 ** 3
+NAN = float("nan")
 
 
 class TestCpuTimes:
@@ -62,6 +63,16 @@ class TestProcFS:
     def test_negative_interval_rejected(self):
         with pytest.raises(ValueError):
             self._procfs().account_cpu(-1.0, 0.5)
+
+    @pytest.mark.parametrize("args", [(NAN, 0.5), (1.0, NAN),
+                                      (1.0, 0.5, NAN), (1.0, 0.5, 0.08, NAN)])
+    def test_nan_rejected_before_any_counter_moves(self, args):
+        procfs = self._procfs()
+        procfs.account_cpu(1.0, 0.5)
+        before = (repr(procfs.cpu), procfs.loadavg(), procfs.system())
+        with pytest.raises(ValueError):
+            procfs.account_cpu(*args)
+        assert (repr(procfs.cpu), procfs.loadavg(), procfs.system()) == before
 
     def test_memory_mirror(self):
         procfs = self._procfs()

@@ -48,6 +48,17 @@ class TestPowerRail:
         with pytest.raises(ValueError):
             PowerRail("core").set_power(-1.0, now_s=0.0)
 
+    @pytest.mark.parametrize("power_w,now_s", [(float("nan"), 10.0),
+                                               (3.0, float("nan"))])
+    def test_nan_rejected_before_the_energy_moves(self, power_w, now_s):
+        rail = PowerRail("core")
+        rail.set_power(2.0, now_s=0.0)
+        with pytest.raises(ValueError):
+            rail.set_power(power_w, now_s=now_s)
+        assert (rail.power_w, rail.energy_j) == (2.0, 0.0)
+        rail.set_power(1.0, now_s=10.0)
+        assert rail.energy_j == 20.0
+
     def test_measure_mw(self):
         rail = PowerRail("core")
         rail.set_power(3.075, now_s=0.0)

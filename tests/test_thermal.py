@@ -103,6 +103,15 @@ class TestThermalRC:
         with pytest.raises(ValueError):
             rc.step(-1.0, 1.0, 25.0)
 
+    def test_nan_step_rejected(self):
+        rc = ThermalRC(resistance_k_per_w=1.0, capacitance_j_per_k=1.0)
+        for _ in range(2):  # with no decay factor kept, then with one
+            before = rc.temperature_c
+            with pytest.raises(ValueError):
+                rc.step(float("nan"), 1.0, 25.0)
+            assert rc.temperature_c == before
+            rc.step(1.0, 1.0, 25.0)
+
     @given(dt=st.floats(min_value=0.01, max_value=10000.0),
            power=st.floats(min_value=0.0, max_value=20.0),
            start=st.floats(min_value=0.0, max_value=150.0))
