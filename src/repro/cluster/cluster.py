@@ -165,15 +165,14 @@ class MonteCimoneCluster:
         """Return a tripped node to service after maintenance.
 
         Runs the simulation through :meth:`service_node_process` (cool
-        below ``cool_below_c``, then reboot), then resumes the node's
-        partition entries.
+        below ``cool_below_c``, then reboot), then resumes the node through
+        the controller, whose scheduling pass can start a pending job on
+        it at once.
         """
         self.engine.run_until_complete(self.engine.spawn(
             self.service_node_process(hostname, cool_below_c,
                                       cooldown_guard_s)))
-        for partition in self.slurm.partitions.values():
-            if hostname in partition.nodes:
-                partition.nodes[hostname].resume()
+        self.slurm.resume_node(hostname)
 
     def service_node_process(self, hostname: str, cool_below_c: float = 32.0,
                              cooldown_guard_s: float = 3600.0

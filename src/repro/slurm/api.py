@@ -103,10 +103,7 @@ class SlurmAPI:
 
     def scontrol_resume(self, hostname: str) -> None:
         """Return a down/drained node to service and reschedule."""
-        for partition in self.controller.partitions.values():
-            if hostname in partition.nodes:
-                partition.nodes[hostname].resume()
-        self.controller.schedule_pass()
+        self.controller.resume_node(hostname)
 
     def scontrol_drain(self, hostname: str, reason: str = "maintenance") -> None:
         """Administratively drain an idle node (no new work placed on it)."""

@@ -415,6 +415,18 @@ class SlurmController:
                 self.engine.spawn(self._recover_node(hostname, info),
                                   name=f"recover-{hostname}")
 
+    def resume_node(self, hostname: str) -> None:
+        """Return a down/drained node to service, then run a scheduling pass.
+
+        The pass lets a pending job that was waiting for this node start
+        now, instead of at the next submit or job end.
+        """
+        for partition in self.partitions.values():
+            info = partition.nodes.get(hostname)
+            if info is not None:
+                info.resume()
+        self.schedule_pass()
+
     def _recover_node(self, hostname: str,
                       info: SlurmNodeInfo) -> Generator[Event, None, None]:
         """Drive one failed node through DOWN → DRAINED → IDLE."""

@@ -134,6 +134,19 @@ class TestServiceNode:
         assert cluster.nodes["mc-node-1"].state is NodeState.IDLE
         assert cluster.engine.unconsumed_failures == []
 
+    def test_service_starts_the_job_waiting_for_the_node(self, cluster):
+        # The requeued 8-node job needs the tripped node, so it waits.
+        job = cluster.slurm.submit(name="hpl", user="alice", n_nodes=8,
+                                   duration_s=600.0, profile=HPL_PROFILE,
+                                   requeue=True)
+        cluster.run_for(200.0)
+        cluster.inject_node_failure("mc-node-1")
+        cluster.run_for(120.0)  # past the requeue backoff
+        assert job.state is JobState.PENDING
+        cluster.service_node("mc-node-1")
+        assert job.state is JobState.RUNNING
+        assert "mc-node-1" in job.allocated_nodes
+
     def test_service_gives_up_when_guard_expires_before_cooling(self,
                                                                 cluster):
         api = SlurmAPI(cluster.slurm)

@@ -40,7 +40,7 @@ NODE_DIGESTS = {
     "trip_and_service":
         "6c16152a23ae5b6703f04436ec13709e7bd4292a3b33b1a71409d06aaf477b15",
     "service_cooldown":
-        "55c70b18c714b714a2fd9ed163447365f6aa2f673b18c5d60d21c171d73d09d6",
+        "1545a7af1833cbcce522bfbee476f02a4b3e4f217a4722bc927514361bcdeae6",
 }
 
 FIG3_DIGEST = (
@@ -138,7 +138,9 @@ def run_trip_and_service():
 def run_service_cooldown():
     # An 8-node --requeue HPL run in the runaway-prone enclosure loses a
     # hot node at t=300 s, which is serviced at once: the service spends
-    # 54 ten-second polls waiting for the board to cool below 32 °C.
+    # 54 ten-second polls waiting for the board to cool below 32 °C.  The
+    # resume's scheduling pass starts the second attempt at once (861 s);
+    # mc-node-7's runaway trips it at 1317 s, and the job waits again.
     cluster = _booted(EnclosureConfig.original())
     job = cluster.slurm.submit(name="hpl", user="alice", n_nodes=8,
                                duration_s=600.0, profile=HPL_PROFILE,
