@@ -51,11 +51,6 @@ class ThermalRC:
         if not self.capacitance_j_per_k > 0:
             raise ValueError("thermal capacitance must be positive")
 
-    @property
-    def time_constant_s(self) -> float:
-        """R·C time constant in seconds."""
-        return self.resistance_k_per_w * self.capacitance_j_per_k
-
     def steady_state_c(self, power_w: float, ambient_c: float) -> float:
         """Temperature this RC settles at under constant conditions."""
         return ambient_c + power_w * self.resistance_k_per_w

@@ -86,6 +86,8 @@ class TestThermalRC:
             ThermalRC(resistance_k_per_w=0, capacitance_j_per_k=10)
         with pytest.raises(ValueError):
             ThermalRC(resistance_k_per_w=1, capacitance_j_per_k=-1)
+        with pytest.raises(ValueError):
+            ThermalRC(resistance_k_per_w=float("nan"), capacitance_j_per_k=10)
 
     def test_steady_state(self):
         rc = ThermalRC(resistance_k_per_w=10.0, capacitance_j_per_k=30.0)
