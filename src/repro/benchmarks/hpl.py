@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.benchmarks.base import BenchmarkResult, RunStatistics
+from repro.benchmarks.base import RunStatistics
 from repro.hardware.specs import MONTE_CIMONE_NODE, NodeSpec
 from repro.network.mpi import MPICostModel
 from repro.network.topology import ClusterTopology
@@ -89,11 +89,6 @@ class HPLResult:
     efficiency: float          # fraction of aggregate peak
     compute_time_s: float      # modelled compute component
     comm_time_s: float         # modelled communication component
-
-    @property
-    def speedup_vs(self) -> float:
-        """Placeholder for relative speedup; see HPLModel.strong_scaling."""
-        return self.gflops.mean
 
 
 class HPLModel:
@@ -171,15 +166,6 @@ class HPLModel:
         return HPLResult(config=config, gflops=gflops, runtime_s=runtime,
                          efficiency=gflops_central / peak,
                          compute_time_s=compute, comm_time_s=comm)
-
-    def as_benchmark_result(self, config: HPLConfig | None = None,
-                            seed: int = 2022) -> BenchmarkResult:
-        """The generic-result view used by the report generator."""
-        result = self.run(config, seed=seed)
-        return BenchmarkResult(
-            benchmark="hpl", machine=self.node.name,
-            throughput=result.gflops, throughput_unit="GFLOP/s",
-            runtime_s=result.runtime_s, efficiency=result.efficiency)
 
     def strong_scaling(self, node_counts: tuple[int, ...] = (1, 2, 4, 8),
                        config: HPLConfig | None = None,

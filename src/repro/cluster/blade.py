@@ -30,10 +30,6 @@ class PSU:
         """Energise the output."""
         self.on = True
 
-    def switch_off(self) -> None:
-        """De-energise the output."""
-        self.on = False
-
     def input_power_w(self, load_w: float) -> float:
         """Wall power drawn for a given DC load (conversion losses)."""
         if load_w < 0:

@@ -2,9 +2,8 @@
 
 This package provides the simulation substrate every other subsystem of the
 Monte Cimone reproduction is built on: a deterministic event loop
-(:class:`~repro.events.engine.Engine`), generator-based cooperating processes
-(:class:`~repro.events.process.Process`), and shared resources
-(:mod:`repro.events.resources`).
+(:class:`~repro.events.engine.Engine`) and generator-based cooperating
+processes (:class:`~repro.events.process.Process`).
 
 The kernel is intentionally small and fully deterministic: events scheduled
 for the same timestamp are dispatched in insertion order, which makes every
@@ -29,20 +28,16 @@ from repro.events.engine import (AllOf, AnyOf, Engine, Event, FailureRecord,
                                  SimulationError, Timeout,
                                  UnconsumedFailureError)
 from repro.events.process import Interrupt, Process
-from repro.events.resources import Container, Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Engine",
     "Event",
     "FailureRecord",
     "Interrupt",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
     "UnconsumedFailureError",
 ]

@@ -6,13 +6,15 @@ retained messages (so a dashboard attaching late sees the last sample of
 each series), and per-client delivery callbacks.  Delivery statistics are
 kept because the paper's deployment cares about monitoring overhead.
 
-Matching is served by a topic trie keyed on topic levels, with dedicated
-branches for the ``+`` and ``#`` wildcards, so a publish visits
-O(topic depth) index nodes instead of scanning every subscription — the
-structure mosquitto and every production broker use.  ``match_ops``
-counts visited index nodes; the observability layer exposes it as the
-deterministic measure of matching cost (simulation code may not read the
-host wall clock).
+Matching is cached per topic.  The sampling plugins publish the same
+few hundred concrete topics every period, so only the first publish of a
+topic filters the live subscriptions through
+:func:`~repro.examon.topics.topic_matches` (the matcher retained replay
+and the store's topic queries use too); every later publish of that
+topic is a dict hit whose cost does not depend on the subscription
+count.  ``match_cache_misses`` counts the filter runs; the observability
+layer exposes the hits as the deterministic measure of matching work
+(simulation code may not read the host wall clock).
 
 Retained-flag semantics follow MQTT 3.1.1 §3.3.1.3: a message delivered
 live to an existing subscriber carries ``retained=False``; a message
@@ -26,7 +28,7 @@ from a stale replay.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple
 
 from repro.examon.topics import topic_matches
 
@@ -56,38 +58,18 @@ class MQTTMessage(NamedTuple):
     retained: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Subscription:
-    """One client subscription: a pattern and its delivery callback."""
+    """One client subscription: a pattern and its delivery callback.
+
+    Compared by identity, so unsubscribing one of two identical
+    subscriptions removes that one and keeps the other's place in the
+    delivery order.
+    """
 
     client_id: str
     pattern: str
     callback: Callable[[MQTTMessage], None]
-    #: Broker-assigned insertion sequence; deliveries happen in
-    #: subscription order regardless of the index traversal order.
-    seq: int = 0
-
-
-class _TrieNode:
-    """One level of the subscription index."""
-
-    __slots__ = ("children", "plus", "here", "hash_here")
-
-    def __init__(self) -> None:
-        #: Exact next-level branches.
-        self.children: Dict[str, _TrieNode] = {}
-        #: The ``+`` single-level wildcard branch.
-        self.plus: Optional[_TrieNode] = None
-        #: Subscriptions whose pattern ends exactly at this node.
-        self.here: List[Subscription] = []
-        #: Subscriptions whose pattern ends in ``#`` at this node (they
-        #: match this node's topic and everything below it).
-        self.hash_here: List[Subscription] = []
-
-    def is_empty(self) -> bool:
-        """True when the node indexes nothing and can be pruned."""
-        return (not self.children and self.plus is None
-                and not self.here and not self.hash_here)
 
 
 class MQTTBroker:
@@ -95,26 +77,18 @@ class MQTTBroker:
 
     def __init__(self, hostname: str = "mc-master") -> None:
         self.hostname = hostname
+        #: Live subscriptions in subscription order (the delivery order).
         self._subscriptions: List[Subscription] = []
-        self._root = _TrieNode()
         self._retained: Dict[str, MQTTMessage] = {}
-        #: Per-topic resolved subscription lists.  The sampling plugins
-        #: publish the same few hundred concrete topics every period, so
-        #: after the first publish of each topic the trie walk (and its
-        #: subscription-order sort) is a dict hit.  Any subscribe or
-        #: unsubscribe clears the cache wholesale — correctness first; a
+        #: Per-topic matching subscriptions, in subscription order.  Any
+        #: subscribe or unsubscribe clears the cache wholesale — a
         #: deployment's subscription set changes a handful of times per
         #: run, its topic set never.
         self._match_cache: Dict[str, List[Subscription]] = {}
-        self._next_seq = 1
         self.messages_published = 0
         self.messages_delivered = 0
         self.bytes_published = 0
-        #: Subscription-index nodes visited while matching (the
-        #: deterministic "match time" the metrics registry exposes).
-        #: Cache hits visit zero index nodes and are counted separately.
-        self.match_ops = 0
-        #: Publishes that resolved their subscription set through the trie
+        #: Publishes that filtered the live subscriptions for their topic
         #: (every other publish was a match-cache hit).
         self.match_cache_misses = 0
         #: Availability (chaos injection): a down broker refuses publishes.
@@ -147,10 +121,8 @@ class MQTTBroker:
         """
         topic_matches(pattern, "probe")  # validates '#' placement
         subscription = Subscription(client_id=client_id, pattern=pattern,
-                                    callback=callback, seq=self._next_seq)
-        self._next_seq += 1
+                                    callback=callback)
         self._subscriptions.append(subscription)
-        self._index_insert(subscription)
         self._match_cache.clear()
         # Replay order is part of the subscribe contract (alphabetical);
         # this is a cold path — it runs once per subscription, not per
@@ -167,76 +139,7 @@ class MQTTBroker:
         # and unsubscribe is a cold path.
         if subscription in self._subscriptions:  # simlint: disable=PERF302
             self._subscriptions.remove(subscription)
-            self._index_remove(subscription)
             self._match_cache.clear()
-
-    def subscriptions_of(self, client_id: str) -> List[Subscription]:
-        """All live subscriptions of one client."""
-        return [s for s in self._subscriptions if s.client_id == client_id]
-
-    # -- subscription index --------------------------------------------------
-    def _index_insert(self, subscription: Subscription) -> None:
-        node = self._root
-        parts = subscription.pattern.split("/")
-        for i, part in enumerate(parts):
-            if part == "#":
-                # topic_matches already rejected interior '#'.
-                node.hash_here.append(subscription)
-                return
-            if part == "+":
-                if node.plus is None:
-                    node.plus = _TrieNode()
-                node = node.plus
-            else:
-                node = node.children.setdefault(part, _TrieNode())
-        node.here.append(subscription)
-
-    def _index_remove(self, subscription: Subscription) -> None:
-        """Remove a subscription from the trie, pruning emptied nodes."""
-        path: List[tuple[_TrieNode, str]] = []
-        node = self._root
-        for part in subscription.pattern.split("/"):
-            if part == "#":
-                node.hash_here.remove(subscription)
-                break
-            path.append((node, part))
-            node = node.plus if part == "+" else node.children[part]
-        else:
-            node.here.remove(subscription)
-        for parent, part in reversed(path):
-            child = parent.plus if part == "+" else parent.children[part]
-            if not child.is_empty():
-                break
-            if part == "+":
-                parent.plus = None
-            else:
-                del parent.children[part]
-
-    def _match(self, topic_parts: List[str]) -> List[Subscription]:
-        """Subscriptions matching a topic, in subscription order."""
-        matched: List[Subscription] = []
-        stack: List[tuple[_TrieNode, int]] = [(self._root, 0)]
-        n_levels = len(topic_parts)
-        while stack:
-            node, depth = stack.pop()
-            self.match_ops += 1
-            # A '#' ending here matches the remaining levels (including
-            # zero of them): 'a/#' matches both 'a' and 'a/b/c'.
-            matched.extend(node.hash_here)
-            if depth == n_levels:
-                matched.extend(node.here)
-                continue
-            part = topic_parts[depth]
-            child = node.children.get(part)
-            if child is not None:
-                stack.append((child, depth + 1))
-            if node.plus is not None:
-                stack.append((node.plus, depth + 1))
-        # Trie traversal order is structural, not subscription order; the
-        # delivery contract is subscription order, so sort by seq.  Runs
-        # once per topic — publish hits the match cache afterwards.
-        matched.sort(key=lambda s: s.seq)  # simlint: disable=PERF303
-        return matched
 
     # -- publish -----------------------------------------------------------
     def publish(self, topic: str, payload: str, timestamp_s: float,
@@ -264,7 +167,10 @@ class MQTTBroker:
         if retain:
             self._retained[topic] = message
         if subscriptions is None:
-            subscriptions = self._match(topic.split("/"))
+            # list.remove keeps the survivors' relative order, so the
+            # filter yields subscription order.
+            subscriptions = [s for s in self._subscriptions
+                             if topic_matches(s.pattern, topic)]
             self._match_cache[topic] = subscriptions
             self.match_cache_misses += 1
         for subscription in subscriptions:

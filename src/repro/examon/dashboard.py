@@ -82,19 +82,10 @@ class Dashboard:
         times = self._bucket_times(start_s, end_s, window_s)
         rows: Dict[str, List[Optional[float]]] = {}
         for host in self.hostnames:
-            total = [0.0] * len(times)
-            seen = [False] * len(times)
-            for core in range(self.n_cores):
-                topic = self.schema.pmu_topic(host, core, "instructions")
-                rate_points = self.db.rate(topic, start_s, end_s)
-                bucketed = self._bucketise(rate_points, start_s, window_s,
-                                           len(times))
-                for i, value in enumerate(bucketed):
-                    if value is not None:
-                        total[i] += value
-                        seen[i] = True
-            rows[host] = [total[i] if seen[i] else None
-                          for i in range(len(times))]
+            topics = [self.schema.pmu_topic(host, core, "instructions")
+                      for core in range(self.n_cores)]
+            rows[host] = self._sum_of_rates(topics, start_s, end_s, window_s,
+                                            len(times))
         return Heatmap(metric="instructions/s", times=times, rows=rows)
 
     def network_heatmap(self, start_s: float, end_s: float,
@@ -103,18 +94,10 @@ class Dashboard:
         times = self._bucket_times(start_s, end_s, window_s)
         rows: Dict[str, List[Optional[float]]] = {}
         for host in self.hostnames:
-            total = [0.0] * len(times)
-            seen = [False] * len(times)
-            for metric in ("net_total.recv", "net_total.send"):
-                topic = self.schema.stats_topic(host, metric)
-                bucketed = self._bucketise(self.db.rate(topic, start_s, end_s),
-                                           start_s, window_s, len(times))
-                for i, value in enumerate(bucketed):
-                    if value is not None:
-                        total[i] += value
-                        seen[i] = True
-            rows[host] = [total[i] if seen[i] else None
-                          for i in range(len(times))]
+            topics = [self.schema.stats_topic(host, metric)
+                      for metric in ("net_total.recv", "net_total.send")]
+            rows[host] = self._sum_of_rates(topics, start_s, end_s, window_s,
+                                            len(times))
         return Heatmap(metric="net bytes/s", times=times, rows=rows)
 
     def memory_heatmap(self, start_s: float, end_s: float,
@@ -170,3 +153,18 @@ class Dashboard:
             if 0 <= index < n_buckets:
                 buckets[index].append(v)
         return [sum(b) / len(b) if b else None for b in buckets]
+
+    def _sum_of_rates(self, topics: List[str], start_s: float, end_s: float,
+                      window_s: float, n_buckets: int) -> List[Optional[float]]:
+        """Per-bucket sum of the topics' rate series, added in topic order;
+        ``None`` where no topic has a value."""
+        total = [0.0] * n_buckets
+        seen = [False] * n_buckets
+        for topic in topics:
+            bucketed = self._bucketise(self.db.rate(topic, start_s, end_s),
+                                       start_s, window_s, n_buckets)
+            for i, value in enumerate(bucketed):
+                if value is not None:
+                    total[i] += value
+                    seen[i] = True
+        return [total[i] if seen[i] else None for i in range(n_buckets)]

@@ -173,7 +173,7 @@ class SamplingPlugin(ABC):
         if now_s + 1e-9 < self._next_reconnect_s:
             return  # still backing off
         self.reconnect_attempts += 1
-        if not getattr(self.broker, "available", True):
+        if not self.broker.available:
             self._reconnect_attempt += 1
             self._next_reconnect_s = now_s + self.reconnect_backoff.delay(
                 self._reconnect_attempt)
@@ -242,7 +242,7 @@ class SamplingPlugin(ABC):
         self._engine = engine
         while self._running:
             self.sample_and_publish(engine.now)
-            delay_s = getattr(self.broker, "publish_delay_s", 0.0)
+            delay_s = self.broker.publish_delay_s
             if delay_s > 0 and self._connected:
                 self.slow_publishes += 1
                 yield engine.timeout(delay_s)

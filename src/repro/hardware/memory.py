@@ -37,11 +37,6 @@ class DDR4Subsystem:
         self._initialised = False
 
     # -- boot --------------------------------------------------------------
-    @property
-    def initialised(self) -> bool:
-        """Whether memory training (bootloader region R2) has completed."""
-        return self._initialised
-
     def initialise(self) -> None:
         """Run DDR training; required before any allocation.
 

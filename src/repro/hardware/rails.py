@@ -141,7 +141,3 @@ class RailSet:
     def measure_all_mw(self) -> Dict[str, float]:
         """Per-rail measured power in mW — one Table VI column."""
         return {rail.name: rail.measure_mw() for rail in self}
-
-    def total_measured_mw(self) -> float:
-        """Measured total (the Table VI 'Total' row)."""
-        return sum(self.measure_all_mw().values())

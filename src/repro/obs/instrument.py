@@ -51,9 +51,11 @@ def register_broker_metrics(registry: MetricsRegistry, broker: Any,
                             prefix: str = "broker") -> None:
     """Expose an :class:`~repro.examon.broker.MQTTBroker`'s transport load.
 
-    ``broker.match_ops`` counts subscription-index nodes visited while
-    matching — the deterministic stand-in for "time spent matching"
-    (wall-clock reads are banned in simulation code by simlint DET101).
+    ``broker.match_cache_hits`` counts publishes that took their
+    subscription set from the per-topic match cache; the rest of
+    ``broker.messages_published`` paid one matching pass each — the
+    deterministic stand-in for "time spent matching" (wall-clock reads are
+    banned in simulation code by simlint DET101).
     """
     registry.gauge_callback(f"{prefix}.messages_published",
                             lambda: broker.messages_published)
@@ -61,7 +63,6 @@ def register_broker_metrics(registry: MetricsRegistry, broker: Any,
                             lambda: broker.messages_delivered)
     registry.gauge_callback(f"{prefix}.bytes_published",
                             lambda: broker.bytes_published)
-    registry.gauge_callback(f"{prefix}.match_ops", lambda: broker.match_ops)
     registry.gauge_callback(f"{prefix}.match_cache_hits",
                             lambda: broker.match_cache_hits)
     registry.gauge_callback(f"{prefix}.subscriptions",

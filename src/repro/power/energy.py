@@ -40,10 +40,6 @@ class JobEnergyRecord:
             return 0.0
         return self.energy_j / self.elapsed_s
 
-    def energy_per_node_j(self) -> float:
-        """Energy per allocated node."""
-        return self.energy_j / self.n_nodes
-
 
 class JobEnergyAccounting:
     """Attributes rail energy to jobs via start/end snapshots."""

@@ -55,10 +55,6 @@ class Installer:
         self._db: Dict[str, InstallRecord] = {}   # dag_hash -> record
 
     # -- queries ----------------------------------------------------------
-    def is_installed(self, spec: Spec) -> bool:
-        """Whether this exact concrete spec is already installed."""
-        return spec.is_concrete and spec.dag_hash() in self._db
-
     def find(self, name: str) -> List[InstallRecord]:
         """All installed instances of a package."""
         return sorted((r for r in self._db.values() if r.name == name),

@@ -61,7 +61,3 @@ class PackageDefinition:
             if constraint.contains(version):
                 return version
         return None
-
-    def link_dependencies(self) -> List[Dependency]:
-        """Dependencies that are part of the installed closure."""
-        return [d for d in self.dependencies if d.deptype in ("link", "run")]

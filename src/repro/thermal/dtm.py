@@ -114,11 +114,6 @@ class ClusterDTM:
         for hostname, governor in self.governors.items():
             engine.spawn(governor.run(engine), name=f"dtm@{hostname}")
 
-    def throttled_nodes(self) -> List[str]:
-        """Nodes currently running below nominal clock."""
-        return sorted(hostname for hostname, governor in self.governors.items()
-                      if governor.throttled)
-
     def all_events(self) -> List[GovernorEvent]:
         """The merged, time-ordered audit log."""
         events = [event for governor in self.governors.values()

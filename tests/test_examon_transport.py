@@ -234,7 +234,7 @@ class TestRetainedFlagSemantics:
 
 
 class TestTopicTrie:
-    """The subscription index: wildcard correctness, order, pruning."""
+    """Matching over the topic tree: wildcards, order, unsubscribe."""
 
     def test_hash_pattern_matches_prefix_itself(self):
         broker = MQTTBroker()
@@ -276,7 +276,6 @@ class TestTopicTrie:
         for sub in subs:
             broker.unsubscribe(sub)
         assert broker.subscription_count == 0
-        assert broker._root.is_empty()
         assert broker.publish("a/b/c", "1;1", timestamp_s=1.0) == 0
 
     def test_unsubscribe_keeps_sibling_subscriptions(self):
@@ -288,28 +287,55 @@ class TestTopicTrie:
         assert broker.publish("a/b/c", "1;1", timestamp_s=1.0) == 1
         assert received[0].topic == "a/b/c"
 
-    def test_match_ops_counts_index_nodes(self):
+    def test_unsubscribe_removes_that_one_of_identical_subscriptions(self):
         broker = MQTTBroker()
-        broker.subscribe("c", "a/b", lambda m: None)
-        before = broker.match_ops
-        broker.publish("a/b", "1;1", timestamp_s=1.0)
-        assert broker.match_ops > before
+        order = []
+        record = order.append
+        broker.subscribe("c", "a", record)
+        broker.subscribe("d", "a", lambda m: order.append("d"))
+        last = broker.subscribe("c", "a", record)
+        broker.unsubscribe(last)
+        broker.publish("a", "x;1", timestamp_s=1.0)
+        assert order == [("a", "x;1", 1.0, False), "d"]
 
-    @given(pattern_levels=st.lists(
-        st.sampled_from(["a", "b", "node", "+"]), min_size=1, max_size=4),
+    def test_second_publish_is_cache_hit(self):
+        broker = MQTTBroker()
+        broker.subscribe("c", "a/+", lambda m: None)
+        broker.publish("a/b", "1;1", timestamp_s=1.0)
+        assert (broker.match_cache_misses, broker.match_cache_hits) == (1, 0)
+        broker.publish("a/b", "1;1", timestamp_s=2.0)
+        assert (broker.match_cache_misses, broker.match_cache_hits) == (1, 1)
+
+    @given(patterns=st.lists(st.tuples(
+        st.lists(st.sampled_from(["a", "b", "node", "+"]),
+                 min_size=1, max_size=4),
+        st.booleans()), min_size=1, max_size=5),
         topic_levels=st.lists(
         st.sampled_from(["a", "b", "node", "x1"]), min_size=1, max_size=4),
-        trailing_hash=st.booleans())
+        doomed=st.integers(min_value=0, max_value=4))
     @settings(max_examples=200, deadline=None)
-    def test_trie_agrees_with_topic_matches(self, pattern_levels,
-                                            topic_levels, trailing_hash):
-        """Property: the trie index and the reference matcher agree."""
-        pattern = "/".join(pattern_levels + (["#"] if trailing_hash else []))
+    def test_deliveries_agree_with_topic_matches(self, patterns,
+                                                 topic_levels, doomed):
+        """Property: after one unsubscribe, a publish reaches exactly the
+        live subscriptions ``topic_matches`` accepts, in subscription order.
+
+        The topic is published once before the unsubscribe, so the check
+        also covers the match cache being cleared.
+        """
         topic = "/".join(topic_levels)
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", pattern, received.append)
-        delivered = broker.publish(topic, "1;1", timestamp_s=1.0,
+        subscriptions = []
+        for i, (levels, trailing_hash) in enumerate(patterns):
+            pattern = "/".join(levels + (["#"] if trailing_hash else []))
+            subscriptions.append(broker.subscribe(
+                f"c{i}", pattern, lambda m, i=i: received.append(i)))
+        broker.publish(topic, "1;1", timestamp_s=1.0, retain=False)
+        broker.unsubscribe(subscriptions.pop(doomed % len(subscriptions)))
+        received.clear()
+        delivered = broker.publish(topic, "1;1", timestamp_s=2.0,
                                    retain=False)
-        assert delivered == (1 if topic_matches(pattern, topic) else 0)
-        assert len(received) == delivered
+        expected = [int(s.client_id[1:]) for s in subscriptions
+                    if topic_matches(s.pattern, topic)]
+        assert received == expected
+        assert delivered == len(expected)

@@ -383,7 +383,7 @@ class TestTracedExperiments:
         snap = boot_power_tracer.metrics.snapshot()
         assert snap["engine.events_processed"] > 0
         assert snap["broker.messages_published"] > 0
-        assert snap["broker.match_ops"] > 0
+        assert snap["broker.match_cache_hits"] > 0
         assert snap["slurm.jobs_finished"] == 1
 
     def test_fault_recovery_shows_requeue(self):
