@@ -27,8 +27,11 @@ Subpackages
 ``spack``       spec language, concretizer, installer (Table I)
 ``examon``      MQTT broker, plugins, time-series DB, dashboards
 ``benchmarks``  HPL / STREAM / QE-LAX models + real numpy kernels
-``perf``        machine comparison, roofline, scaling metrics
+``perf``        machine comparison, scaling metrics, ASCII plots
 ``analysis``    per-experiment drivers and the EXPERIMENTS.md generator
+``chaos``       fault injectors and the recovery scenarios
+``obs``         span tracing and metrics of the simulation itself
+``lint``        simlint, the determinism and engine-discipline checker
 """
 
 __version__ = "1.0.0"

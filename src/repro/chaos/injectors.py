@@ -291,13 +291,14 @@ class NodeTripInjector(FaultInjector):
     """
 
     KIND = FaultKind.NODE_TRIP
+    #: How often the watcher reads the node's SLURM state, seconds.
+    POLL_S = 5.0
 
     def __init__(self, engine: Engine, log: ChaosLog, cluster: Any,
-                 hostname: str, poll_s: float = 5.0) -> None:
+                 hostname: str) -> None:
         super().__init__(engine, log, target=hostname)
         self.cluster = cluster
         self.hostname = hostname
-        self.poll_s = poll_s
         self.recovered_at_s: Optional[float] = None
 
     def _apply(self) -> None:
@@ -321,7 +322,7 @@ class NodeTripInjector(FaultInjector):
     def _watch(self) -> Generator[Event, None, None]:
         start_s = self.engine.now
         while True:
-            yield self.engine.timeout(self.poll_s)
+            yield self.engine.timeout(self.POLL_S)
             state, _ = self._slurm_state()
             if state == "idle":
                 break

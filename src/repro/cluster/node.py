@@ -6,7 +6,8 @@ The node ties every substrate together:
 * an OS state machine following the boot regions of Fig. 4
   (OFF → R1 power-on → R2 bootloader → R3 OS-running);
 * a workload execution path that drives core counters, procfs statistics,
-  DDR activity and the power rails coherently;
+  DDR activity and the power rails coherently (the SLURM controller runs
+  every job through it, a slice at a time);
 * a thermal attachment point (slot in an enclosure) with the
   over-temperature shutdown that node 7 suffered in Fig. 6;
 * the procfs/sysfs views ExaMon's plugins sample.
@@ -60,12 +61,11 @@ class ComputeNode:
     R2_DURATION_S = R2_PHASE.duration_s
 
     def __init__(self, hostname: str, with_infiniband: bool = False,
-                 patched_uboot: bool = True,
-                 power_model: RailPowerModel | None = None) -> None:
+                 patched_uboot: bool = True) -> None:
         self.hostname = hostname
         self.board = HiFiveUnmatched(with_infiniband=with_infiniband)
         self.patched_uboot = patched_uboot
-        self.power_model = power_model if power_model is not None else RailPowerModel()
+        self.power_model = RailPowerModel()
         self.procfs = ProcFS(n_cores=self.board.n_cores,
                              dram_bytes=self.board.memory.capacity_bytes)
         self.state = NodeState.OFF
@@ -264,21 +264,3 @@ class ComputeNode:
             return
         self.finish_boot(engine.now)
 
-    def workload_process(self, engine: Engine, profile: WorkloadProfile,
-                         duration_s: float,
-                         step_s: float = 1.0) -> Generator[Event, None, None]:
-        """Run a workload for ``duration_s``, advancing in ``step_s`` slices.
-
-        Stops early (without raising) if the node trips mid-run — the
-        behaviour of node 7's HPL process in Fig. 6.
-        """
-        self.begin_workload(profile, engine.now)
-        remaining = duration_s
-        while remaining > 0:
-            slice_s = min(step_s, remaining)
-            yield engine.timeout(slice_s)
-            if self.state is NodeState.TRIPPED:
-                return
-            self.advance(slice_s)
-            remaining -= slice_s
-        self.end_workload(engine.now)

@@ -48,13 +48,6 @@ class TimeSeriesDB:
         self._series: Dict[str, _Columns] = {}
         self.points_stored = 0
         self.decode_errors = 0
-        #: Out-of-order inserts placed by bisection.
-        self.sorted_inserts = 0
-
-    @property
-    def fast_appends(self) -> int:
-        """Inserts appended to the columns (every insert not bisected)."""
-        return self.points_stored - self.sorted_inserts
 
     # -- ingestion ----------------------------------------------------------
     def attach(self, broker: MQTTBroker, pattern: str,
@@ -99,7 +92,6 @@ class TimeSeriesDB:
                 index = bisect.bisect_right(values, value, lo, hi)
                 values.insert(index, value)
                 times.insert(index, timestamp_s)
-                self.sorted_inserts += 1
             else:
                 values.append(value)
                 times.append(timestamp_s)

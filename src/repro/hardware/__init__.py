@@ -24,12 +24,6 @@ paper's experiments touch:
 * :mod:`repro.hardware.board` — the assembled HiFive Unmatched board.
 """
 
-from repro.hardware.accelerator import (
-    AcceleratorCard,
-    PCIeSlot,
-    RISCV_VECTOR_CARD,
-    SlotError,
-)
 from repro.hardware.board import HiFiveUnmatched
 from repro.hardware.cache import L2Cache, StreamPrefetcher
 from repro.hardware.cores import CoreComplex, S7Core, U74Core
@@ -52,10 +46,6 @@ from repro.hardware.storage import MicroSDCard, NVMeDrive
 
 __all__ = [
     "ARMIDA_NODE",
-    "AcceleratorCard",
-    "PCIeSlot",
-    "RISCV_VECTOR_CARD",
-    "SlotError",
     "CoreComplex",
     "DDR4Subsystem",
     "DDR_SPEC",

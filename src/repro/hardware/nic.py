@@ -28,13 +28,12 @@ class RDMAUnsupportedError(RuntimeError):
 class GigabitEthernet:
     """The VSC8541-attached 1 Gbit/s Ethernet port.
 
-    This is the interconnect the whole-machine HPL run used; its bandwidth
-    and latency feed the MPI cost model behind Fig. 2.
+    This is the interconnect the whole-machine HPL run used.  The port
+    holds the link state and the traffic counters; message costs come
+    from the MPI cost model over :class:`~repro.network.link.Link`.
     """
 
     name: str = "eth0"
-    bandwidth_bits_per_s: float = 1e9
-    latency_s: float = 50e-6
     link_up: bool = False
     #: Cumulative traffic counters surfaced by stats_pub (net_total.*).
     bytes_sent: int = 0
@@ -55,10 +54,6 @@ class GigabitEthernet:
         if n_bytes < 0:
             raise ValueError("negative byte count")
         self.bytes_received += n_bytes
-
-    def transfer_time(self, n_bytes: int) -> float:
-        """Wire time for an ``n_bytes`` message (latency + serialisation)."""
-        return self.latency_s + (n_bytes * 8) / self.bandwidth_bits_per_s
 
 
 class IBState(Enum):

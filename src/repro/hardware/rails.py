@@ -63,9 +63,9 @@ class PowerRail:
 
     __slots__ = ("name", "sensor", "_power_w", "_energy_j", "_last_update_s")
 
-    def __init__(self, name: str, sensor: ShuntSensor | None = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.sensor = sensor if sensor is not None else ShuntSensor()
+        self.sensor = ShuntSensor()
         self._power_w = 0.0
         self._energy_j = 0.0
         self._last_update_s = 0.0

@@ -1,22 +1,20 @@
-"""Point-to-point link model with serialisation, contention and faults.
+"""Point-to-point link parameters and link faults.
 
-A :class:`Link` is the basic pipe of the interconnect model: messages take
-``latency + size/bandwidth`` and the link tracks cumulative traffic for the
-monitoring plugins (stats_pub's ``net_total.recv``/``net_total.send``).
-Contention is modelled by an efficiency factor under concurrent flows
-rather than per-packet queueing — adequate because the experiments the
-model supports (HPL collectives) synchronise at phase boundaries.
+A :class:`Link` is one port of the GbE star: its payload bandwidth and
+latency, and its fault state.  It computes no transfer time itself; the
+MPI cost model (:class:`~repro.network.mpi.MPICostModel`) derives every
+message cost from the links of the topology.
 
-Fault injection (the chaos harness): a link can be taken *down* — any
-transfer raises :class:`LinkDownError`, the model of a TCP connect/send
-timing out on a flapped port — or *degraded*, dividing its payload
-bandwidth by a factor (duplex renegotiated to 100 Mb/s, a half-broken
-cable) while staying up.
+Fault injection (the chaos harness): a link can be taken *down* — a
+collective over it raises :class:`LinkDownError`, the model of a TCP
+connect/send timing out on a flapped port — or *degraded*, dividing its
+payload bandwidth by a factor (duplex renegotiated to 100 Mb/s, a
+half-broken cable) while staying up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Link", "LinkDownError"]
 
@@ -44,7 +42,8 @@ class Link:
         One-way small-message latency, including the software stack
         (~50 µs for MPI-over-TCP-over-GbE on these cores).
     up:
-        Availability; a down link refuses transfers (:class:`LinkDownError`).
+        Availability; a collective over a down link raises
+        :class:`LinkDownError`.
     degraded_factor:
         Bandwidth divisor while degraded (``1.0`` = healthy); must be
         ``>= 1`` — degradation never *adds* bandwidth.
@@ -53,11 +52,8 @@ class Link:
     name: str
     bandwidth_bytes_per_s: float = 117e6
     latency_s: float = 50e-6
-    bytes_carried: int = 0
     up: bool = True
     degraded_factor: float = 1.0
-    #: Transfers refused while down (flap-visibility counter).
-    transfers_refused: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
@@ -72,32 +68,9 @@ class Link:
         """Payload bandwidth after any injected degradation."""
         return self.bandwidth_bytes_per_s / self.degraded_factor
 
-    def transfer_time(self, n_bytes: int, concurrent_flows: int = 1) -> float:
-        """Time to move ``n_bytes`` with ``concurrent_flows`` sharing the pipe.
-
-        Raises a clear :class:`ValueError` on a non-positive flow count or
-        a negative size (a zero flow count would otherwise divide by zero)
-        and :class:`LinkDownError` while the link is down.
-        """
-        if n_bytes < 0:
-            raise ValueError("negative message size")
-        if concurrent_flows < 1:
-            raise ValueError("need at least one flow")
-        if not self.up:
-            self.transfers_refused += 1
-            raise LinkDownError(self.name)
-        effective_bw = self.effective_bandwidth_bytes_per_s / concurrent_flows
-        return self.latency_s + n_bytes / effective_bw
-
-    def account(self, n_bytes: int) -> None:
-        """Record carried traffic for the monitoring counters."""
-        if n_bytes < 0:
-            raise ValueError("negative byte count")
-        self.bytes_carried += n_bytes
-
     # -- fault injection -----------------------------------------------------
     def set_down(self) -> None:
-        """Flap the link down: transfers raise until :meth:`set_up`."""
+        """Flap the link down: collectives raise until :meth:`set_up`."""
         self.up = False
 
     def set_up(self) -> None:

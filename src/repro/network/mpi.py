@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.events.backoff import ExponentialBackoff
 from repro.network.link import LinkDownError
@@ -29,9 +29,6 @@ from repro.network.topology import ClusterTopology
 
 __all__ = ["MPICostModel", "MPIRetryPolicy", "MPIRetryError",
            "run_collective_with_retry"]
-
-#: Observer signature: ``(kind, n_bytes, n_ranks, cost_s)`` per collective.
-CollectiveObserver = Callable[[str, int, int, float], None]
 
 
 class MPIRetryError(RuntimeError):
@@ -42,6 +39,11 @@ class MPIRetryError(RuntimeError):
 class MPICostModel:
     """Collective costs over a given topology.
 
+    This is the one transfer-time rule of the network model: every
+    collective prices its messages through :meth:`point_to_point` (or the
+    same link parameters), so a down link raises :class:`LinkDownError`
+    and a degraded link slows every message, wherever the cost is asked.
+
     Parameters
     ----------
     topology:
@@ -51,25 +53,10 @@ class MPICostModel:
         Per-message MPI software cost on the host CPU; dominated by the
         in-order U74 running the TCP stack (calibrated: 120 µs/message —
         these cores run the whole GbE protocol path in software).
-    observer:
-        Optional hook called once per modelled collective with
-        ``(kind, n_bytes, n_ranks, cost_s)``; the observability layer
-        (:func:`repro.obs.instrument.register_mpi_metrics`) uses it to
-        count collectives and put them on the trace timeline.  The hook
-        never changes a returned cost.
     """
 
     topology: ClusterTopology
     software_overhead_s: float = 120e-6
-    observer: Optional[CollectiveObserver] = field(default=None, repr=False,
-                                                   compare=False)
-
-    def _observed(self, kind: str, n_bytes: int, n_ranks: int,
-                  cost_s: float) -> float:
-        """Report a collective to the observer, returning its cost."""
-        if self.observer is not None:
-            self.observer(kind, n_bytes, n_ranks, cost_s)
-        return cost_s
 
     def _link_params(self) -> tuple[float, float]:
         links = self.topology.links.values()
@@ -86,6 +73,8 @@ class MPICostModel:
 
     def point_to_point(self, n_bytes: int) -> float:
         """One message between two ranks on different nodes."""
+        if n_bytes < 0:
+            raise ValueError("negative message size")
         latency, bandwidth = self._link_params()
         return latency + n_bytes / bandwidth
 
@@ -96,16 +85,14 @@ class MPICostModel:
         if n_ranks == 1:
             return 0.0
         rounds = math.ceil(math.log2(n_ranks))
-        return self._observed("broadcast", n_bytes, n_ranks,
-                              rounds * self.point_to_point(n_bytes))
+        return rounds * self.point_to_point(n_bytes)
 
     def allreduce(self, n_bytes: int, n_ranks: int) -> float:
         """Recursive-doubling allreduce."""
         if n_ranks <= 1:
             return 0.0
         rounds = math.ceil(math.log2(n_ranks))
-        return self._observed("allreduce", n_bytes, n_ranks,
-                              2 * rounds * self.point_to_point(n_bytes))
+        return 2 * rounds * self.point_to_point(n_bytes)
 
     def ring_exchange(self, n_bytes_total: int, n_ranks: int) -> float:
         """Ring-based all-to-all of ``n_bytes_total`` spread over ranks."""
@@ -113,9 +100,7 @@ class MPICostModel:
             return 0.0
         latency, bandwidth = self._link_params()
         chunk = n_bytes_total / n_ranks
-        return self._observed(
-            "ring_exchange", n_bytes_total, n_ranks,
-            (n_ranks - 1) * (latency + chunk / bandwidth))
+        return (n_ranks - 1) * (latency + chunk / bandwidth)
 
     def scatter(self, n_bytes_total: int, n_ranks: int) -> float:
         """Linear scatter from one root (the scheme LAM-era stacks use)."""
@@ -123,9 +108,7 @@ class MPICostModel:
             return 0.0
         latency, bandwidth = self._link_params()
         per_rank = n_bytes_total / n_ranks
-        return self._observed(
-            "scatter", n_bytes_total, n_ranks,
-            (n_ranks - 1) * (latency + per_rank / bandwidth))
+        return (n_ranks - 1) * (latency + per_rank / bandwidth)
 
 
 @dataclass

@@ -8,8 +8,8 @@ bring-up experiments of §III.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable
 
 from repro.network.link import Link
 
@@ -56,34 +56,3 @@ class ClusterTopology:
         if len(self.links) > self.switch.n_ports:
             raise ValueError(
                 f"{len(self.links)} nodes exceed switch ports {self.switch.n_ports}")
-
-    @property
-    def node_names(self) -> List[str]:
-        """Attached host names, in attachment order."""
-        return list(self.links)
-
-    def path(self, src: str, dst: str) -> Tuple[Link, Link]:
-        """The (uplink, downlink) pair between two hosts."""
-        if src == dst:
-            raise ValueError(f"src and dst are both {src!r}")
-        return self.links[src], self.links[dst]
-
-    def point_to_point_time(self, src: str, dst: str, n_bytes: int,
-                            concurrent_flows: int = 1) -> float:
-        """End-to-end transfer time src→dst through the switch."""
-        uplink, downlink = self.path(src, dst)
-        # Store-and-forward: serialisation paid once on the slower link,
-        # latency paid on both plus the switch.
-        slower = min(uplink.bandwidth_bytes_per_s, downlink.bandwidth_bytes_per_s)
-        effective_bw = slower / concurrent_flows
-        total_latency = (uplink.latency_s + downlink.latency_s
-                         + self.switch.port_to_port_latency_s)
-        uplink.account(n_bytes)
-        downlink.account(n_bytes)
-        return total_latency + n_bytes / effective_bw
-
-    def bisection_bandwidth(self) -> float:
-        """Aggregate bandwidth across the worst even cut, bytes/s."""
-        n = len(self.links)
-        per_link = min(l.bandwidth_bytes_per_s for l in self.links.values())
-        return (n // 2) * per_link

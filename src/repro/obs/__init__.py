@@ -12,8 +12,8 @@ Layout:
 * :mod:`repro.obs.metrics` — counters/gauges and the registry;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``) and plain-text span trees;
-* :mod:`repro.obs.instrument` — attaching tracers and registering
-  broker/scheduler/MPI metrics;
+* :mod:`repro.obs.instrument` — attaching a tracer and registering the
+  broker and scheduler metrics;
 * :mod:`repro.obs.experiments` — the canned traced runs behind the
   ``repro trace`` CLI subcommand.
 
@@ -24,22 +24,15 @@ and machines (simlint's DET rules apply to this package like any other).
 
 from repro.obs.export import (chrome_trace_json, span_tree_text,
                               to_chrome_trace, validate_chrome_trace)
-from repro.obs.instrument import (attach_tracer, detach_tracer,
-                                  register_broker_metrics,
-                                  register_engine_metrics,
-                                  register_mpi_metrics,
-                                  register_scheduler_metrics,
-                                  register_tsdb_metrics)
+from repro.obs.instrument import (attach_tracer, register_broker_metrics,
+                                  register_scheduler_metrics)
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Span, Tracer, span_of
 
 __all__ = [
     "Counter", "Gauge", "MetricsRegistry",
     "NULL_SPAN", "Span", "Tracer", "span_of",
-    "attach_tracer", "detach_tracer",
-    "register_broker_metrics", "register_engine_metrics",
-    "register_mpi_metrics", "register_scheduler_metrics",
-    "register_tsdb_metrics",
+    "attach_tracer", "register_broker_metrics", "register_scheduler_metrics",
     "chrome_trace_json", "span_tree_text", "to_chrome_trace",
     "validate_chrome_trace",
 ]

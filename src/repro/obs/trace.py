@@ -122,14 +122,14 @@ class Tracer:
     clock:
         Anything with a ``now`` attribute in simulated seconds — in
         practice the :class:`~repro.events.engine.Engine` itself.
-    metrics:
-        Registry receiving the engine counters; a fresh one is created
-        when omitted.
+
+    The tracer owns a fresh :class:`MetricsRegistry`, ``metrics``, which
+    receives the engine counters.
     """
 
-    def __init__(self, clock: Any, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, clock: Any) -> None:
         self._clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.spans: List[Span] = []
         self._next_id = 1
         self._stack: List[Span] = []

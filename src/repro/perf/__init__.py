@@ -1,23 +1,20 @@
-"""Performance-analysis layer: machine comparison, roofline, scaling.
+"""Performance-analysis layer: machine comparison, scaling, ASCII plots.
 
 * :mod:`repro.perf.machines` — the three-machine comparison of §V-A
   (Monte Cimone vs Marconi100 vs Armida under identical upstream-stack
   boundary conditions).
-* :mod:`repro.perf.roofline` — a roofline model over a node spec; places
-  the three benchmarks on it.
 * :mod:`repro.perf.scaling` — strong-scaling metrics (speedup, parallel
   efficiency, fraction-of-linear) used for Fig. 2.
+* :mod:`repro.perf.plots` — ASCII renderings of the Fig. 2 curve and of
+  time series for the report.
 """
 
 from repro.perf.machines import COMPARISON_MACHINES, MachineComparison, utilisation_table
-from repro.perf.roofline import Roofline, RooflinePoint
 from repro.perf.scaling import ScalingPoint, strong_scaling_table
 
 __all__ = [
     "COMPARISON_MACHINES",
     "MachineComparison",
-    "Roofline",
-    "RooflinePoint",
     "ScalingPoint",
     "strong_scaling_table",
     "utilisation_table",

@@ -3,8 +3,9 @@
 Covers the graceful-degradation machinery the injectors drive: broker
 outage → plugin buffer/backoff/backfill, link flap → MPI retry, service
 outage → queued logins and deferred writes, sensor faults → skipped
-metrics and recovery spans, plus the transfer-argument validation on
-:class:`~repro.network.link.Link`.
+metrics and recovery spans, plus how a down or degraded
+:class:`~repro.network.link.Link` reaches
+:meth:`~repro.network.mpi.MPICostModel.point_to_point`.
 """
 
 import pytest
@@ -25,10 +26,10 @@ from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import StatsPubPlugin
 from repro.examon.tsdb import TimeSeriesDB
 from repro.hardware.sensors import SensorReadError, ThermalSensor
-from repro.network.link import Link, LinkDownError
+from repro.network.link import LinkDownError
 from repro.network.mpi import (MPICostModel, MPIRetryError, MPIRetryPolicy,
                                run_collective_with_retry)
-from repro.network.topology import ClusterTopology
+from repro.network.topology import ClusterTopology, Switch
 from repro.obs.instrument import attach_tracer
 
 
@@ -164,31 +165,38 @@ class TestBrokerOutage:
         assert plugin.slow_publishes > 0
 
 
+def two_node_model(latency_s=1e-5):
+    """A two-node star with no switch or software latency of its own."""
+    topology = ClusterTopology(["a", "b"], link_bandwidth_bytes_per_s=1e6,
+                               link_latency_s=latency_s,
+                               switch=Switch(port_to_port_latency_s=0.0))
+    return topology, MPICostModel(topology, software_overhead_s=0.0)
+
+
 class TestLinkFaults:
     def test_transfer_time_validates_arguments(self):
-        link = Link(name="l", bandwidth_bytes_per_s=1e6, latency_s=1e-5)
+        _, model = two_node_model()
         with pytest.raises(ValueError):
-            link.transfer_time(-1)
-        with pytest.raises(ValueError):
-            link.transfer_time(100, concurrent_flows=0)
-        assert link.transfer_time(0) == pytest.approx(1e-5)
+            model.point_to_point(-1)
+        # Latency on both endpoint links.
+        assert model.point_to_point(0) == pytest.approx(2e-5)
 
     def test_down_link_refuses_transfers(self):
-        link = Link(name="l", bandwidth_bytes_per_s=1e6, latency_s=1e-5)
-        link.set_down()
-        with pytest.raises(LinkDownError):
-            link.transfer_time(100)
-        assert link.transfers_refused == 1
-        link.set_up()
-        link.transfer_time(100)
+        topology, model = two_node_model()
+        topology.links["a"].set_down()
+        with pytest.raises(LinkDownError) as excinfo:
+            model.point_to_point(100)
+        assert excinfo.value.link_name == topology.links["a"].name
+        topology.links["a"].set_up()
+        model.point_to_point(100)
 
     def test_degraded_link_stretches_transfers(self):
-        link = Link(name="l", bandwidth_bytes_per_s=1e6, latency_s=0.0)
-        nominal = link.transfer_time(1_000_000)
-        link.set_degraded(4.0)
-        assert link.transfer_time(1_000_000) == pytest.approx(4 * nominal)
-        link.clear_degraded()
-        assert link.transfer_time(1_000_000) == pytest.approx(nominal)
+        topology, model = two_node_model(latency_s=0.0)
+        nominal = model.point_to_point(1_000_000)
+        topology.links["b"].set_degraded(4.0)
+        assert model.point_to_point(1_000_000) == pytest.approx(4 * nominal)
+        topology.links["b"].clear_degraded()
+        assert model.point_to_point(1_000_000) == pytest.approx(nominal)
 
     def test_collective_retries_over_flap_and_records_recovery(self):
         engine = Engine()

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster.node import ComputeNode, NodeState
 from repro.events import Engine
 from repro.power.model import HPL_PROFILE, NodePhase
+from repro.slurm.job import JobState
+from tests.test_slurm import make_controller
 
 
 @pytest.fixture
@@ -100,12 +102,16 @@ class TestWorkloadExecution:
         booted_node.sync_to(30.0)  # same instant: no double counting
         assert booted_node.board.cores.cores[0].hpm.cycle == cycles
 
-    def test_workload_process_on_engine(self):
+    def test_slurm_job_on_engine_returns_node_to_idle(self):
         engine = Engine()
         node = ComputeNode(hostname="n")
         engine.run_until_complete(engine.spawn(node.boot_process(engine)))
-        proc = engine.spawn(node.workload_process(engine, HPL_PROFILE, 30.0))
-        engine.run_until_complete(proc)
+        controller = make_controller(n_nodes=1, engine=engine)
+        controller.bind_node("n1", node)
+        job = controller.submit("hpl", "u", n_nodes=1, duration_s=30.0,
+                                profile=HPL_PROFILE)
+        engine.run()
+        assert job.state is JobState.COMPLETED
         assert node.state is NodeState.IDLE
         assert node.board.cores.total_flops() > 0
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.benchmarks.base import BenchmarkResult, RunStatistics
-from repro.benchmarks.hpl_io import _grid_for
 from repro.examon.dashboard import Heatmap
 from repro.examon.topics import TopicSchema
 
@@ -51,15 +50,6 @@ class TestBenchmarkResultSummary:
             efficiency=0.465)
         line = result.summary()
         assert "46.5%" in line and "GFLOP/s" in line
-
-
-class TestGridShapes:
-    @pytest.mark.parametrize("ranks,expected", [
-        (1, (1, 1)), (4, (2, 2)), (8, (2, 4)), (32, (4, 8)),
-        (6, (2, 3)), (7, (1, 7)),
-    ])
-    def test_near_square_with_p_le_q(self, ranks, expected):
-        assert _grid_for(ranks) == expected
 
 
 class TestHeatmapEdges:

@@ -18,6 +18,15 @@ class TestClock:
         eng.run(until=10.0)
         assert eng.now == 10.0
 
+    def test_queue_depth_counts_undispatched_events(self):
+        eng = Engine()
+        assert eng.queue_depth == 0
+        eng.timeout(1.0)
+        eng.timeout(2.0)
+        assert eng.queue_depth == 2
+        eng.run(until=1.5)
+        assert eng.queue_depth == 1
+
     def test_peek_empty_queue_is_inf(self):
         assert Engine().peek() == float("inf")
 

@@ -49,13 +49,6 @@ class TestHwmonTree:
 
 
 class TestGigabitEthernet:
-    def test_transfer_time_latency_plus_serialisation(self):
-        nic = GigabitEthernet()
-        small = nic.transfer_time(0)
-        assert small == pytest.approx(nic.latency_s)
-        # 1 Gbit/s: 125 MB takes ~1 s.
-        assert nic.transfer_time(125_000_000) == pytest.approx(1.0, rel=0.01)
-
     def test_traffic_accounting(self):
         nic = GigabitEthernet()
         nic.account_send(100)

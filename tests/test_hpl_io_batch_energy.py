@@ -1,14 +1,7 @@
-"""Tests for HPL.dat round-tripping, sbatch parsing and energy accounting."""
+"""Tests for sbatch parsing and energy accounting."""
 
 import pytest
 
-from repro.benchmarks.hpl import HPLConfig, HPLModel
-from repro.benchmarks.hpl_io import (
-    parse_hpl_dat,
-    parse_hpl_output,
-    render_hpl_dat,
-    render_hpl_output,
-)
 from repro.cluster.cluster import MonteCimoneCluster
 from repro.power.energy import JobEnergyAccounting
 from repro.power.model import HPL_PROFILE, IDLE_PROFILE
@@ -18,54 +11,6 @@ from repro.slurm.batch_script import (
     parse_time_limit,
 )
 from repro.thermal.enclosure import EnclosureConfig
-
-
-class TestHPLDat:
-    def test_render_contains_paper_parameters(self):
-        text = render_hpl_dat(HPLConfig())
-        assert "40704        Ns" in text
-        assert "192          NBs" in text
-
-    def test_roundtrip_single_node(self):
-        config = HPLConfig()
-        recovered = parse_hpl_dat(render_hpl_dat(config))
-        assert recovered.n == config.n
-        assert recovered.nb == config.nb
-        assert recovered.n_nodes == config.n_nodes
-
-    def test_roundtrip_eight_nodes(self):
-        config = HPLConfig(n_nodes=8)
-        recovered = parse_hpl_dat(render_hpl_dat(config))
-        assert recovered.n_nodes == 8
-
-    def test_grid_is_near_square(self):
-        # 32 ranks → 4×8 grid in the rendered file.
-        text = render_hpl_dat(HPLConfig(n_nodes=8))
-        assert "4            Ps" in text
-        assert "8            Qs" in text
-
-    def test_parse_missing_field_raises(self):
-        with pytest.raises(ValueError, match="Ns"):
-            parse_hpl_dat("not an hpl.dat")
-
-
-class TestHPLOutput:
-    def test_render_and_parse_roundtrip(self):
-        result = HPLModel().run()
-        text = render_hpl_output(result)
-        gflops, time_s, passed = parse_hpl_output(text)
-        assert gflops == pytest.approx(result.gflops.mean, rel=1e-3)
-        assert time_s == pytest.approx(result.runtime_s.mean, rel=1e-2)
-        assert passed
-
-    def test_output_has_hpl_layout(self):
-        text = render_hpl_output(HPLModel().run())
-        assert "T/V" in text and "Gflops" in text
-        assert "PASSED" in text
-
-    def test_parse_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_hpl_output("no result rows here")
 
 
 class TestTimeLimit:

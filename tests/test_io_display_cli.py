@@ -1,10 +1,8 @@
-"""Tests for STREAM IO, Spack display, ASCII plots, sbatch_script API, CLI."""
+"""Tests for Spack display, ASCII plots, sbatch_script API, CLI."""
 
 import pytest
 
 from repro.benchmarks.hpl import HPLModel
-from repro.benchmarks.stream import StreamConfig, StreamModel
-from repro.benchmarks.stream_io import parse_stream_output, render_stream_output
 from repro.perf.plots import render_scaling_plot, render_series
 from repro.perf.scaling import strong_scaling_table
 from repro.slurm.api import SlurmAPI
@@ -13,33 +11,6 @@ from repro.spack.concretizer import Concretizer
 from repro.spack.display import render_find, render_spec_tree
 from repro.spack.installer import Installer
 from repro.spack.spec import Spec
-
-
-class TestStreamIO:
-    RESULT = StreamModel().run(StreamConfig(array_mib=1945.5))
-
-    def test_render_contains_510_banner_and_rows(self):
-        text = render_stream_output(self.RESULT)
-        assert "STREAM version $Revision: 5.10 $" in text
-        for kernel in ("Copy:", "Scale:", "Add:", "Triad:"):
-            assert kernel in text
-        assert "Solution Validates" in text
-
-    def test_roundtrip_best_rates(self):
-        text = render_stream_output(self.RESULT)
-        rates, validated = parse_stream_output(text)
-        assert validated
-        for kernel, stats in self.RESULT.bandwidth_mb_s.items():
-            assert rates[kernel] == pytest.approx(max(stats.samples),
-                                                  rel=0.01)
-
-    def test_parse_incomplete_report_raises(self):
-        with pytest.raises(ValueError, match="missing kernels"):
-            parse_stream_output("Copy:  1206.0  0.1  0.1  0.1")
-
-    def test_thread_count_rendered(self):
-        text = render_stream_output(self.RESULT)
-        assert "Number of Threads requested = 4" in text
 
 
 class TestSpackDisplay:

@@ -1,69 +1,9 @@
-"""Tests for Spack lockfiles and SLURM job dependencies."""
-
-import json
+"""Tests for SLURM job dependencies."""
 
 import pytest
 
 from repro.slurm.job import JobState
-from repro.spack.concretizer import Concretizer
-from repro.spack.environment import SpackEnvironment
-from repro.spack.lockfile import LockfileError, read_lockfile, write_lockfile
-from repro.spack.spec import Spec
 from tests.test_slurm import make_controller
-
-
-class TestLockfile:
-    def _roots(self):
-        concretizer = Concretizer()
-        return [concretizer.concretize(Spec.parse(text))
-                for text in ("hpl@2.3", "stream@5.10")]
-
-    def test_roundtrip_preserves_hashes(self):
-        roots = self._roots()
-        rebuilt = read_lockfile(write_lockfile(roots))
-        assert [r.dag_hash() for r in rebuilt] == \
-            [r.dag_hash() for r in roots]
-
-    def test_roundtrip_preserves_versions_and_targets(self):
-        rebuilt = read_lockfile(write_lockfile(self._roots()))
-        hpl = rebuilt[0]
-        assert str(hpl.version) == "2.3"
-        assert hpl.target == "u74mc"
-        assert str(hpl.dependencies["openblas"].version) == "0.3.18"
-
-    def test_shared_nodes_stay_shared(self):
-        """openblas appears once in the closure and is one object after
-        rebuild (the DAG-unification invariant survives serialisation)."""
-        concretizer = Concretizer()
-        root = concretizer.concretize(Spec.parse("netlib-scalapack@2.1.0"))
-        rebuilt = read_lockfile(write_lockfile([root]))[0]
-        direct = rebuilt.dependencies["openblas"]
-        via_lapack = rebuilt.dependencies["netlib-lapack"] \
-            .dependencies["openblas"]
-        assert direct is via_lapack
-
-    def test_whole_environment_locks(self):
-        roots = SpackEnvironment.monte_cimone().concretize()
-        rebuilt = read_lockfile(write_lockfile(roots))
-        assert len(rebuilt) == 9
-
-    def test_abstract_root_rejected(self):
-        with pytest.raises(LockfileError, match="not concrete"):
-            write_lockfile([Spec.parse("hpl")])
-
-    def test_tampered_lockfile_detected(self):
-        text = write_lockfile(self._roots())
-        payload = json.loads(text)
-        some_hash = payload["roots"][0]
-        payload["concrete_specs"][some_hash]["version"] = "9.9"
-        with pytest.raises(LockfileError, match="hash mismatch"):
-            read_lockfile(json.dumps(payload))
-
-    def test_wrong_file_type_rejected(self):
-        with pytest.raises(LockfileError):
-            read_lockfile(json.dumps({"_meta": {"file-type": "other"}}))
-        with pytest.raises(LockfileError, match="not JSON"):
-            read_lockfile("{broken")
 
 
 class TestJobDependencies:

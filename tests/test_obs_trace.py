@@ -8,9 +8,8 @@ import pytest
 from repro import __main__ as cli
 from repro.events.engine import Engine, UnconsumedFailureError
 from repro.obs import (NULL_SPAN, MetricsRegistry, Tracer, attach_tracer,
-                       chrome_trace_json, detach_tracer,
-                       register_engine_metrics, span_of,
-                       span_tree_text, to_chrome_trace, validate_chrome_trace)
+                       chrome_trace_json, span_of, span_tree_text,
+                       to_chrome_trace, validate_chrome_trace)
 from repro.obs.experiments import trace_boot_power, trace_fault_recovery
 
 
@@ -53,17 +52,6 @@ class TestMetrics:
         reg.gauge_callback("live", lambda: state["n"])
         state["n"] = 9
         assert reg.snapshot()["live"] == 9.0
-
-    def test_engine_queue_depth_gauge_reads_live_queue(self):
-        eng = Engine()
-        reg = MetricsRegistry()
-        register_engine_metrics(reg, eng)
-        assert reg.snapshot() == {"engine.queue_depth": 0.0}
-        eng.timeout(1.0)
-        eng.timeout(2.0)
-        assert reg.snapshot()["engine.queue_depth"] == 2.0
-        eng.run(until=1.5)
-        assert reg.snapshot()["engine.queue_depth"] == 1.0
 
     def test_snapshot_sorted_with_gauge_max(self):
         reg = MetricsRegistry()
@@ -246,7 +234,7 @@ class TestKernelHooks:
     def test_detach_reverts_to_null(self):
         eng = Engine()
         attach_tracer(eng)
-        detach_tracer(eng)
+        eng.tracer = None
         assert span_of(eng, "x") is NULL_SPAN
 
 

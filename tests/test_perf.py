@@ -1,45 +1,11 @@
-"""Tests for the performance-analysis layer: roofline, scaling, machines."""
+"""Tests for the performance-analysis layer: scaling, machines."""
 
 import pytest
 
 from repro.benchmarks.hpl import HPLModel
 from repro.hardware.specs import MONTE_CIMONE_NODE
 from repro.perf.machines import compare_machine, utilisation_table
-from repro.perf.roofline import Roofline, RooflinePoint
 from repro.perf.scaling import strong_scaling_table
-
-
-class TestRoofline:
-    ROOFLINE = Roofline()
-
-    def test_peaks(self):
-        assert self.ROOFLINE.peak_gflops == pytest.approx(4.0)
-        assert self.ROOFLINE.peak_bandwidth_gb_s == pytest.approx(7.76)
-
-    def test_ridge_point(self):
-        # 4 GFLOP/s over 7.76 GB/s: ridge at ~0.515 FLOP/byte.
-        assert self.ROOFLINE.ridge_intensity == pytest.approx(0.515, abs=0.01)
-
-    def test_attainable_below_and_above_ridge(self):
-        low = self.ROOFLINE.attainable_gflops(0.1)
-        assert low == pytest.approx(0.776)
-        assert self.ROOFLINE.attainable_gflops(10.0) == pytest.approx(4.0)
-
-    def test_compute_vs_memory_bound(self):
-        assert self.ROOFLINE.is_compute_bound(8.0)       # HPL
-        assert not self.ROOFLINE.is_compute_bound(0.083)  # STREAM triad
-
-    def test_paper_points_lie_under_the_roof(self):
-        for point in self.ROOFLINE.paper_points():
-            assert self.ROOFLINE.check_point(point), point.label
-
-    def test_point_above_roof_detected(self):
-        bogus = RooflinePoint("impossible", 10.0, 5.0)
-        assert not self.ROOFLINE.check_point(bogus)
-
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            RooflinePoint("bad", -1.0, 1.0)
 
 
 class TestScalingTable:

@@ -24,6 +24,7 @@ from repro.hardware.cores import CoreActivity, U74Core
 from repro.power.model import HPL_PROFILE, NodePhase
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
 from repro.thermal.model import NodeThermalModel as Model
+from tests.test_slurm import make_controller
 
 #: A centre slot: the lid adds resistance there, so the mitigation moves R.
 SLOT = 4
@@ -173,9 +174,13 @@ def test_fractional_last_slice_and_idle_tick():
     engine = Engine()
     node = booted(EnclosureConfig.mitigated())
     reference = TickReference(node)
-    engine.run_until_complete(engine.spawn(
-        node.workload_process(engine, HPL_PROFILE, 10.4)))
-    # Ten whole slices, then one of about 0.4 s.
+    controller = make_controller(n_nodes=1, engine=engine)
+    controller.bind_node("n1", node)
+    controller.submit("hpl", "u", n_nodes=1, duration_s=10.4,
+                      profile=HPL_PROFILE)
+    engine.run()
+    # The controller slices the job by the second: ten whole slices,
+    # then one of about 0.4 s.
     assert reference.ticks == 11
     # The job ended mid-second: the next idle tick is fractional too.
     node.sync_to(11.0)
