@@ -437,10 +437,9 @@ class SlurmController:
             if self._node_service is not None:
                 # Cooperative hardware service (cool-down wait + reboot).
                 yield from self._node_service(hostname)
-            info.resume()
         finally:
             self._recovering.discard(hostname)
-        self.schedule_pass()
+        self.resume_node(hostname)
 
     def _finish(self, job: Job, state: JobState, reason: str) -> None:
         job.state = state
