@@ -79,8 +79,12 @@ def scenario_examon_outage(seed: int = 0) -> ChaosRunResult:
     deployment.stop()
     engine.run(until=146.0)
 
-    pmu_pattern = ("org/unibo/cluster/montecimone/node/mc-node-1"
-                   "/plugin/pmu_pub/chnl/data/#")
+    schema = deployment.schema
+    first_node = next(iter(cluster.nodes))
+    first_node_topics = [
+        topic for topic in deployment.db.topics(
+            schema.all_nodes_pattern("pmu_pub"))
+        if schema.parse(topic)["node"] == first_node]
     problems: List[str] = []
     plugins = list(deployment.pmu_plugins.values())
     if not any(p.samples_backfilled for p in plugins):
@@ -93,7 +97,7 @@ def scenario_examon_outage(seed: int = 0) -> ChaosRunResult:
             "db": deployment.db,
             "backfill": {
                 "db": deployment.db,
-                "topics": deployment.db.topics(pmu_pattern),
+                "topics": first_node_topics,
                 "windows": windows,
                 "period_s": plugins[0].period_s,
             },
