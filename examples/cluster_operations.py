@@ -5,7 +5,7 @@ Generates a seeded synthetic stream of user jobs shaped like the paper's
 workload set (HPL / STREAM / QE-LAX at mixed sizes), replays it through
 the SLURM controller on the simulated machine with energy accounting
 attached, and prints the operator view: utilisation, wait times, per-user
-activity, the energy ledger, and the exported Grafana dashboards.
+activity, the sacct energy ledger, and the exported Grafana dashboards.
 
 Run with::
 
@@ -21,6 +21,7 @@ from repro.analysis.tables import render_table
 from repro.cluster.cluster import MonteCimoneCluster
 from repro.examon.grafana import build_cluster_dashboard, export_dashboard
 from repro.power.energy import JobEnergyAccounting
+from repro.slurm.accounting import render_sacct
 from repro.slurm.trace import generate_trace, replay_trace
 from repro.thermal.enclosure import EnclosureConfig
 
@@ -54,12 +55,8 @@ def main() -> None:
         f"{user}: {count}" for user, count in
         sorted(report.per_user_jobs.items())))
 
-    print("\n-- energy ledger (top 5 by energy) --")
-    top = sorted(accounting.ledger, key=lambda r: -r.energy_j)[:5]
-    print(render_table(
-        ["job", "nodes", "elapsed s", "energy kJ", "mean W"],
-        [(r.name, r.n_nodes, f"{r.elapsed_s:.0f}",
-          f"{r.energy_j / 1e3:.2f}", f"{r.mean_power_w:.2f}") for r in top]))
+    print("\n-- energy ledger (sacct) --")
+    print(render_sacct(cluster.slurm, accounting))
     total_kwh = accounting.total_energy_j() / 3.6e6
     print(f"  total attributed energy: {total_kwh * 1000:.1f} Wh")
 
