@@ -209,6 +209,9 @@ class ComputeNode:
         if self.thermal is not None:
             # Powered-off boards cool toward ambient (rails read zero).
             self.thermal.step(dt_s, self.total_power_w())
+            # The drive reports its RC temperature; the board's sync is the
+            # one writer of hwmon0.
+            board.nvme.temperature_c = self.thermal.nvme.temperature_c
             board.sync_nvme_temperature()
         self._apply_power(self._now_s)
 

@@ -23,10 +23,10 @@ class NVMeDrive:
     #: Cumulative transfer counters for stats_pub.
     bytes_read: int = 0
     bytes_written: int = 0
-    #: Device temperature.  Nothing updates it: it stays at 30 °C, and
-    #: ``HiFiveUnmatched.sync_nvme_temperature`` copies it into hwmon0 on
-    #: every node tick, over the NVMe RC temperature ``NodeThermalModel``
-    #: wrote there a moment earlier (a known defect, see ROADMAP.md).
+    #: Device temperature.  On a node in an enclosure, each tick sets it to
+    #: the NVMe RC temperature of ``NodeThermalModel``, and
+    #: ``HiFiveUnmatched.sync_nvme_temperature`` copies it into hwmon0.
+    #: Without a thermal attachment it keeps this 30 °C default.
     temperature_c: float = 30.0
 
     def read(self, n_bytes: int) -> float:

@@ -129,7 +129,12 @@ class NodeThermalModel:
         self.motherboard.resistance_k_per_w = r * self.MB_RESISTANCE_FACTOR
 
     def step(self, dt_s: float, board_power_w: float) -> None:
-        """Advance all three sensors by ``dt_s`` under ``board_power_w``."""
+        """Advance all three sensors by ``dt_s`` under ``board_power_w``.
+
+        The SoC and motherboard readings go to hwmon here; the NVMe
+        reading reaches hwmon0 through the drive, which the node updates
+        and the board syncs (``HiFiveUnmatched.sync_nvme_temperature``).
+        """
         ambient = self.enclosure.local_ambient(self.slot)
         self.soc.step(dt_s, board_power_w, ambient)
         self.motherboard.step(dt_s, board_power_w * self.MB_HEAT_FRACTION, ambient)
@@ -138,7 +143,6 @@ class NodeThermalModel:
         if self.hwmon is not None:
             self.hwmon.set_celsius("cpu_temp", self.soc.temperature_c)
             self.hwmon.set_celsius("mb_temp", self.motherboard.temperature_c)
-            self.hwmon.set_celsius("nvme_temp", self.nvme.temperature_c)
 
     def steady_state_soc_c(self, board_power_w: float) -> float:
         """SoC temperature this slot settles at under constant power."""

@@ -55,8 +55,10 @@ SCRIPT_DIGESTS = {
 #: Events the chaos script schedules and processes, in total.
 CHAOS_SCRIPT_EVENTS = 541
 
+#: Re-pinned when ``temperature.nvme_temp`` began to follow the NVMe RC
+#: temperature; only the eight nodes' nvme_temp series moved.
 FULL_STACK_DIGEST = (
-    "0e669938919b5cd5fecc869c5f40ba9d2e7e5bb018a9f4075849e493fdd7f62b")
+    "59363f3616479a1d1aa29daaa67319ebeee2b0a9a0750d8f0bad796a153e9b90")
 
 TABLE6_DIGEST = (
     "ebeb95e55e59374e1cabf07706b86d6f1a5d3734e6b0d4ef9c9820c68f85fb0e")

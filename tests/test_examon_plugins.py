@@ -9,6 +9,7 @@ from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import TABLE_III_METRICS, StatsPubPlugin
 from repro.events import Engine
 from repro.power.model import HPL_PROFILE
+from repro.thermal.enclosure import Enclosure, EnclosureConfig
 
 
 def booted_node(patched_uboot=True):
@@ -117,6 +118,20 @@ class TestStatsPub:
         metrics = plugin.sample(22.0)
         topic = plugin.schema.stats_topic("mc-node-1", "temperature.cpu_temp")
         assert metrics[topic] == pytest.approx(66.0)
+
+    def test_nvme_temperature_follows_the_rc_model_under_load(self):
+        node = booted_node()
+        node.attach_thermal(Enclosure(EnclosureConfig.original()), slot=4)
+        node.begin_workload(HPL_PROFILE, 21.0)
+        for _ in range(600):
+            node.advance(1.0)
+        plugin = StatsPubPlugin(node, MQTTBroker())
+        metrics = plugin.sample(621.0)
+        topic = plugin.schema.stats_topic("mc-node-1", "temperature.nvme_temp")
+        rc_c = node.thermal.nvme.temperature_c
+        # hwmon reports millidegrees.
+        assert metrics[topic] == pytest.approx(rc_c, abs=1e-3)
+        assert metrics[topic] != 30.0
 
     def test_cpu_usage_reflects_load(self):
         node = booted_node()

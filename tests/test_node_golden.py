@@ -32,15 +32,17 @@ from repro.thermal.dtm import ClusterDTM
 from repro.thermal.enclosure import EnclosureConfig
 from tests.golden import digest
 
+#: Re-pinned when hwmon0's ``nvme_temp`` began to follow the NVMe RC
+#: temperature instead of a constant 30 °C; no other node line moved.
 NODE_DIGESTS = {
     "replay":
-        "5328932f0a708ec30923839f5f9a7f11416eb3ddfd7ba35c5b374bcb00807847",
+        "40451a563ec04754c05fdd87327eaa9e14faec9c794ec407cfaef26924ad9143",
     "dtm":
-        "ca6dccd78d0b263d346315fd02d650da0d56c11595b0709bfc033f846885a05c",
+        "dc0d05d0125bf28f94eaab87bcc6df8914d03f60fc263ba91c6f96be769febd6",
     "trip_and_service":
-        "6c16152a23ae5b6703f04436ec13709e7bd4292a3b33b1a71409d06aaf477b15",
+        "6c9fb45f344b46cd12daa897ba05339ea2ad8bddfb6e39e2f628c920e3ec8e0b",
     "service_cooldown":
-        "1545a7af1833cbcce522bfbee476f02a4b3e4f217a4722bc927514361bcdeae6",
+        "e8067a39905237bd35ee7d1a685530f7a15c5b47ea197de7178de7aad4aa333b",
 }
 
 FIG3_DIGEST = (
