@@ -17,11 +17,16 @@ paper's experiments touch:
   module rails, each with a shunt-resistor current sensor.
 * :mod:`repro.hardware.sensors` — the three hwmon thermal sensors
   (SoC, motherboard, NVMe) with the sysfs paths of Table IV.
-* :mod:`repro.hardware.nic` — the VSC8541 GbE interface and the Mellanox
-  ConnectX-4 FDR Infiniband HCA (recognised, ping-capable, RDMA-incapable).
-* :mod:`repro.hardware.storage` — 1 TB NVMe system disk and the micro-SD
+* :mod:`repro.hardware.nic` — the VSC8541 GbE interface (link state and
+  traffic counters) and the Mellanox ConnectX-4 FDR Infiniband HCA
+  (recognised, ping-capable, RDMA-incapable).
+* :mod:`repro.hardware.storage` — 1 TB NVMe system disk (whose hwmon0
+  temperature the node feeds from its NVMe RC model) and the micro-SD
   UEFI boot device.
 * :mod:`repro.hardware.board` — the assembled HiFive Unmatched board.
+
+The §VI PCIe accelerator expansion is not modelled: no experiment of the
+paper runs one.
 """
 
 from repro.hardware.board import HiFiveUnmatched

@@ -55,8 +55,6 @@ SCRIPT_DIGESTS = {
 #: Events the chaos script schedules and processes, in total.
 CHAOS_SCRIPT_EVENTS = 541
 
-#: Re-pinned when ``temperature.nvme_temp`` began to follow the NVMe RC
-#: temperature; only the eight nodes' nvme_temp series moved.
 FULL_STACK_DIGEST = (
     "59363f3616479a1d1aa29daaa67319ebeee2b0a9a0750d8f0bad796a153e9b90")
 

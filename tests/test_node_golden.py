@@ -32,8 +32,6 @@ from repro.thermal.dtm import ClusterDTM
 from repro.thermal.enclosure import EnclosureConfig
 from tests.golden import digest
 
-#: Re-pinned when hwmon0's ``nvme_temp`` began to follow the NVMe RC
-#: temperature instead of a constant 30 °C; no other node line moved.
 NODE_DIGESTS = {
     "replay":
         "40451a563ec04754c05fdd87327eaa9e14faec9c794ec407cfaef26924ad9143",
