@@ -55,8 +55,7 @@ def test_every_module_is_imported_outside_tests():
         for path in sorted((ROOT / directory).rglob("*.py")):
             if path.name == "__init__.py" and path not in REGISTERING_INITS:
                 continue
-            own = module_name(path) if path.is_relative_to(SRC) else None
-            reached |= imported_names(path, modules) - {own}
+            reached |= imported_names(path, modules)
     unreached = sorted(
         name for name, path in modules.items()
         if path.name not in ("__init__.py", "__main__.py")
