@@ -22,7 +22,7 @@ Subpackages
 ``power``       calibrated per-rail power models (Table VI, Fig. 3/4)
 ``thermal``     enclosure airflow + RC thermal models (Fig. 6)
 ``network``     GbE star, MPI cost model (Fig. 2), partial Infiniband
-``cluster``     node lifecycle, blades, NFS/LDAP/modules, full machine
+``cluster``     node lifecycle, NFS/LDAP/modules, full machine
 ``slurm``       FIFO+backfill workload manager
 ``spack``       spec language, concretizer, installer (Table I)
 ``examon``      MQTT broker, plugins, time-series DB, dashboards

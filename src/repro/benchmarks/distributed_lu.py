@@ -20,7 +20,6 @@ reproduction has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -77,10 +76,6 @@ class DistributedLU:
     def owner_of_block(self, block_index: int) -> int:
         """Rank owning a column block (cyclic distribution)."""
         return block_index % self.n_ranks
-
-    def blocks_of_rank(self, rank: int, n_blocks: int) -> List[int]:
-        """Column blocks owned by ``rank``."""
-        return [b for b in range(n_blocks) if self.owner_of_block(b) == rank]
 
     # -- execution -------------------------------------------------------------
     def solve(self, a: np.ndarray, b: np.ndarray) -> DistributedLUResult:

@@ -2,8 +2,8 @@
 
 Assembles the whole §III/§IV system:
 
-* eight compute nodes (``mc-node-1`` … ``mc-node-8``) in four RV007
-  blades, placed in an :class:`~repro.thermal.enclosure.Enclosure`;
+* eight compute nodes (``mc-node-1`` … ``mc-node-8``) placed in the
+  slots of an :class:`~repro.thermal.enclosure.Enclosure`;
   nodes 1 and 2 carry the Infiniband HCAs;
 * a login node and a master node (job scheduler, NFS, LDAP, the ExaMon
   broker and storage run there);
@@ -19,10 +19,9 @@ change the enclosure configuration (the §V-C mitigation) mid-simulation.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from repro.events.engine import Engine, Event
-from repro.cluster.blade import RV007Blade
 from repro.cluster.node import ComputeNode, NodeState
 from repro.cluster.services.ldap import LDAPServer
 from repro.cluster.services.modules import EnvironmentModules
@@ -56,7 +55,7 @@ class MonteCimoneCluster:
             enclosure_config if enclosure_config is not None
             else EnclosureConfig.original())
 
-        # -- compute nodes and blades ------------------------------------
+        # -- compute nodes -------------------------------------------------
         self.nodes: Dict[str, ComputeNode] = {}
         for i in range(self.N_NODES):
             hostname = f"mc-node-{i + 1}"
@@ -65,11 +64,6 @@ class MonteCimoneCluster:
                                patched_uboot=patched_uboot)
             node.attach_thermal(self.enclosure, slot=self.SLOT_OF_NODE[i + 1])
             self.nodes[hostname] = node
-        node_list = list(self.nodes.values())
-        self.blades: List[RV007Blade] = [
-            RV007Blade(blade_id=b, nodes=(node_list[2 * b], node_list[2 * b + 1]))
-            for b in range(self.N_NODES // 2)
-        ]
 
         # -- network --------------------------------------------------------
         self.topology = ClusterTopology(
@@ -212,10 +206,6 @@ class MonteCimoneCluster:
         """(hostname, SoC °C) of the hottest node right now."""
         name = max(self.nodes, key=lambda n: self.nodes[n].cpu_temperature_c())
         return name, self.nodes[name].cpu_temperature_c()
-
-    def node_states(self) -> Dict[str, NodeState]:
-        """Current node lifecycle states."""
-        return {name: node.state for name, node in self.nodes.items()}
 
     def run_for(self, duration_s: float) -> None:
         """Advance the whole simulation by ``duration_s``."""

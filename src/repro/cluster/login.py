@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cluster.services.base import ServiceUnavailableError
 from repro.cluster.services.ldap import AuthenticationError, LDAPServer, LDAPUser
-from repro.cluster.services.modules import EnvironmentModules, Module
+from repro.cluster.services.modules import EnvironmentModules
 from repro.cluster.services.nfs import NFSMount, NFSServer
 from repro.slurm.api import SlurmAPI
 from repro.slurm.scheduler import SlurmController
@@ -81,22 +81,6 @@ class UserSession:
             self.deferred_writes.pop(0)
             flushed += 1
         return flushed
-
-    def read_file(self, relative_path: str) -> bytes:
-        """Read from the user's NFS home."""
-        self.history.append(f"read {relative_path}")
-        return self.home.read(f"{self.user.home}/{relative_path}")
-
-    # -- software environment -----------------------------------------------
-    def module_avail(self, pattern: str = "") -> List[str]:
-        """``module avail`` in this session."""
-        self.history.append(f"module avail {pattern}".strip())
-        return self.modules.avail(pattern)
-
-    def module_load(self, full_name: str) -> Module:
-        """``module load`` in this session."""
-        self.history.append(f"module load {full_name}")
-        return self.modules.load(full_name)
 
     # -- batch system -----------------------------------------------------------
     def sbatch(self, script_text: str, duration_s: float, profile=None) -> int:
@@ -204,7 +188,3 @@ class LoginNode:
             else:
                 opened.append(ticket.session)
         return opened
-
-    def logout(self, username: str) -> None:
-        """Close a session (idempotent)."""
-        self.active_sessions.pop(username, None)

@@ -117,7 +117,6 @@ class ComputeNode:
         self.phase = NodePhase.R3_OS
         self.state = NodeState.IDLE
         self._now_s = now_s
-        self.board.ethernet.bring_up()
         if self.board.infiniband is not None:
             self.board.infiniband.load_driver()
             self.board.infiniband.activate_link()

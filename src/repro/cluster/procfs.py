@@ -3,9 +3,8 @@
 stats_pub (Table III) collects load averages, CPU usage breakdown, memory
 usage, paging, disk and network totals, interrupt/context-switch rates and
 process counts.  On the real node those come from /proc; here the node
-lifecycle feeds a :class:`ProcFS` whose accessors return both structured
-values (what the plugin publishes) and kernel-formatted text (what the
-tests assert against, keeping the substitution honest).
+lifecycle feeds a :class:`ProcFS` whose accessors return the structured
+values the plugin publishes.
 """
 
 from __future__ import annotations
@@ -150,23 +149,3 @@ class ProcFS:
     def paging(self) -> Dict[str, int]:
         """The paging.* metrics."""
         return {"in": self.paging_in_total, "out": self.paging_out_total}
-
-    # -- kernel-formatted text renders ---------------------------------------
-    def render_loadavg(self) -> str:
-        """/proc/loadavg in kernel format."""
-        return (f"{self.load_1m:.2f} {self.load_5m:.2f} {self.load_15m:.2f} "
-                f"{self.procs_running}/{self.procs_new_total + 50} 1234\n")
-
-    def render_stat(self) -> str:
-        """/proc/stat's aggregate cpu line (ticks are integers)."""
-        c = self.cpu
-        return (f"cpu  {int(c.usr)} 0 {int(c.sys)} {int(c.idl)} {int(c.wai)} "
-                f"0 0 {int(c.stl)} 0 0\n")
-
-    def render_meminfo(self) -> str:
-        """MemTotal/MemFree/Buffers/Cached lines of /proc/meminfo (kB)."""
-        kb = 1024
-        return (f"MemTotal:       {self.dram_bytes // kb} kB\n"
-                f"MemFree:        {self.mem_free // kb} kB\n"
-                f"Buffers:        {self.mem_buff // kb} kB\n"
-                f"Cached:         {self.mem_cach // kb} kB\n")

@@ -21,7 +21,6 @@ class ServiceUnavailableError(ConnectionError):
         detail = f" during {operation}" if operation else ""
         super().__init__(f"service {service!r} is unavailable{detail}")
         self.service = service
-        self.operation = operation
 
 
 class ServiceAvailability:

@@ -2,8 +2,8 @@
 
 The cluster's user accounts live in an LDAP server on the master node
 (§IV-A).  The model covers what the rest of the stack needs: posixAccount
-entries with uid/gid/home/shell, groups, bind-style authentication and the
-NSS-style lookups the login node and SLURM use to resolve job owners.
+entries with uid/gid/home/shell, groups, bind-style authentication (the
+login node's front door) and prefix search.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class LDAPUser:
     shell: str = "/bin/bash"
     gecos: str = ""
 
-    def dn(self, base_dn: str) -> str:
-        """Distinguished name under the server's base DN."""
-        return f"uid={self.uid},ou=People,{base_dn}"
-
 
 @dataclass
 class LDAPGroup:
@@ -53,16 +49,15 @@ class LDAPGroup:
 class LDAPServer(ServiceAvailability):
     """The cluster directory.
 
-    Binds and NSS lookups are gated on availability (``ldap_bind: Can't
+    Binds and lookups are gated on availability (``ldap_bind: Can't
     contact LDAP server``); provisioning is an offline/admin path and
     stays open — real deployments edit LDIFs while slapd is down.
     """
 
     SERVICE_NAME = "ldap"
 
-    def __init__(self, base_dn: str = "dc=montecimone,dc=cineca,dc=it") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.base_dn = base_dn
         self._users: Dict[str, LDAPUser] = {}
         self._groups: Dict[str, LDAPGroup] = {}
         self._secrets: Dict[str, tuple[str, str]] = {}  # uid -> (salt, hash)
@@ -96,25 +91,7 @@ class LDAPServer(ServiceAvailability):
         self._secrets[uid] = (salt, _hash_password(password, salt))
         return user
 
-    # -- lookups (NSS) ----------------------------------------------------------
-    def get_user(self, uid: str) -> LDAPUser:
-        """getpwnam-style lookup."""
-        self._require_available("getpwnam")
-        if uid not in self._users:
-            raise KeyError(f"no such user {uid!r}")
-        return self._users[uid]
-
-    def get_user_by_number(self, uid_number: int) -> LDAPUser:
-        """getpwuid-style lookup."""
-        for user in self._users.values():
-            if user.uid_number == uid_number:
-                return user
-        raise KeyError(f"no user with uidNumber {uid_number}")
-
-    def users_in_group(self, group: str) -> List[str]:
-        """Member uids of a group."""
-        return list(self._groups[group].members)
-
+    # -- lookups ---------------------------------------------------------------
     def search(self, uid_prefix: str = "") -> List[LDAPUser]:
         """Prefix search over uids (the ldapsearch everyone actually runs)."""
         self._require_available("search")

@@ -59,7 +59,7 @@ class EnvironmentModules:
         """``module avail [pattern]``: matching full names, sorted."""
         return sorted(name for name in self._registry if pattern in name)
 
-    # -- load/unload --------------------------------------------------------
+    # -- load -----------------------------------------------------------------
     def load(self, full_name: str) -> Module:
         """``module load name/version``.
 
@@ -79,19 +79,6 @@ class EnvironmentModules:
             if value not in current.split(":"):
                 self.environment[var] = f"{value}:{current}" if current else value
         return module
-
-    def unload(self, full_name: str) -> None:
-        """``module unload name/version``: drop it and its env edits."""
-        if full_name not in self._registry:
-            raise KeyError(f"no modulefile {full_name!r}")
-        module = self._registry[full_name]
-        if self._loaded.get(module.name) is not module:
-            return  # not loaded; modules treats this as a no-op
-        del self._loaded[module.name]
-        for var, value in module.default_env().items():
-            parts = [p for p in self.environment.get(var, "").split(":")
-                     if p and p != value]
-            self.environment[var] = ":".join(parts)
 
     def list_loaded(self) -> List[str]:
         """``module list``: loaded full names, sorted."""

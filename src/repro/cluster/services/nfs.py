@@ -51,7 +51,6 @@ class NFSServer(ServiceAvailability):
         self.exports: Dict[str, NFSExport] = {}
         self._files: Dict[str, bytes] = {}
         self._dirs: set[str] = {"/"}
-        self.bytes_served = 0
         self.bytes_written = 0
 
     # -- exports ---------------------------------------------------------------
@@ -94,9 +93,7 @@ class NFSServer(ServiceAvailability):
         path = _normalise(path)
         if path not in self._files:
             raise FileNotFoundError(path)
-        data = self._files[path]
-        self.bytes_served += len(data)
-        return data
+        return self._files[path]
 
     def exists(self, path: str) -> bool:
         """Whether a file or directory exists."""

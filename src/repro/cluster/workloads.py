@@ -34,11 +34,6 @@ class JobRequest:
     duration_s: float
     profile: WorkloadProfile
 
-    def submit_kwargs(self) -> dict:
-        """Keyword arguments for :meth:`SlurmController.submit`."""
-        return {"name": self.name, "n_nodes": self.n_nodes,
-                "duration_s": self.duration_s, "profile": self.profile}
-
 
 def hpl_job(config: HPLConfig | None = None,
             node: NodeSpec = MONTE_CIMONE_NODE) -> JobRequest:

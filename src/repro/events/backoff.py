@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
 
 __all__ = ["ExponentialBackoff"]
 
@@ -86,7 +85,3 @@ class ExponentialBackoff:
         if self.jitter == 0.0:
             return nominal
         return nominal * (1.0 - self.jitter * self._rng.random())
-
-    def delays(self, n: int) -> List[float]:
-        """The first ``n`` delays, in attempt order."""
-        return [self.delay(attempt) for attempt in range(n)]

@@ -30,14 +30,10 @@ __all__ = ["Process", "Interrupt"]
 class Interrupt(Exception):
     """Thrown into a process generator by :meth:`Process.interrupt`.
 
-    The ``cause`` attribute carries the interrupting party's reason, e.g. a
-    pre-emption notice from the scheduler or a thermal-trip shutdown from the
-    enclosure model.
+    Its one argument, ``args[0]``, is the interrupting party's reason, e.g.
+    a pre-emption notice from the scheduler or a thermal-trip shutdown from
+    the enclosure model.
     """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Process(Event):
@@ -67,11 +63,6 @@ class Process(Event):
         self._target = bootstrap
         if engine.tracer is not None:
             engine.tracer.on_process_spawn(self)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.

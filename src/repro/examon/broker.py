@@ -81,7 +81,7 @@ class MQTTBroker:
         self._subscriptions: List[Subscription] = []
         self._retained: Dict[str, MQTTMessage] = {}
         #: Per-topic matching subscriptions, in subscription order.  Any
-        #: subscribe or unsubscribe clears the cache wholesale — a
+        #: subscribe clears the cache wholesale — a
         #: deployment's subscription set changes a handful of times per
         #: run, its topic set never.
         self._match_cache: Dict[str, List[Subscription]] = {}
@@ -132,14 +132,6 @@ class MQTTBroker:
                 callback(self._retained[topic]._replace(retained=True))
                 self.messages_delivered += 1
         return subscription
-
-    def unsubscribe(self, subscription: Subscription) -> None:
-        """Drop a subscription (no-op if already gone)."""
-        # Linear scan over live subscriptions; a deployment holds a handful
-        # and unsubscribe is a cold path.
-        if subscription in self._subscriptions:  # simlint: disable=PERF302
-            self._subscriptions.remove(subscription)
-            self._match_cache.clear()
 
     # -- publish -----------------------------------------------------------
     def publish(self, topic: str, payload: str, timestamp_s: float,

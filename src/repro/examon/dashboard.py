@@ -38,10 +38,6 @@ class Heatmap:
             raise ValueError(f"no data for {hostname} in {self.metric}")
         return sum(values) / len(values)
 
-    def hottest_row(self) -> str:
-        """Hostname with the highest row mean."""
-        return max(self.rows, key=self.node_mean)
-
     def render_ascii(self, width: int = 40) -> str:
         """A quick-look ASCII rendering (one row per node)."""
         flat = [v for row in self.rows.values() for v in row if v is not None]

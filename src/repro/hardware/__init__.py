@@ -14,15 +14,14 @@ paper's experiments touch:
   exposed through perf_events, including the "programmable counters are
   disabled until a U-Boot patch enables them" behaviour from §IV-B.
 * :mod:`repro.hardware.rails` — the seven SoC power rails plus the two DDR
-  module rails, each with a shunt-resistor current sensor.
+  module rails, each with its energy integral.
 * :mod:`repro.hardware.sensors` — the three hwmon thermal sensors
   (SoC, motherboard, NVMe) with the sysfs paths of Table IV.
-* :mod:`repro.hardware.nic` — the VSC8541 GbE interface (link state and
-  traffic counters) and the Mellanox ConnectX-4 FDR Infiniband HCA
+* :mod:`repro.hardware.nic` — the VSC8541 GbE interface (traffic
+  counters) and the Mellanox ConnectX-4 FDR Infiniband HCA
   (recognised, ping-capable, RDMA-incapable).
 * :mod:`repro.hardware.storage` — 1 TB NVMe system disk (whose hwmon0
-  temperature the node feeds from its NVMe RC model) and the micro-SD
-  UEFI boot device.
+  temperature the node feeds from its NVMe RC model).
 * :mod:`repro.hardware.board` — the assembled HiFive Unmatched board.
 
 The §VI PCIe accelerator expansion is not modelled: no experiment of the
@@ -35,7 +34,7 @@ from repro.hardware.cores import CoreComplex, S7Core, U74Core
 from repro.hardware.hpm import HPMUnit, PerfEventsInterface
 from repro.hardware.memory import DDR4Subsystem
 from repro.hardware.nic import GigabitEthernet, InfinibandHCA
-from repro.hardware.rails import PowerRail, RailSet, ShuntSensor
+from repro.hardware.rails import PowerRail, RailSet
 from repro.hardware.sensors import HwmonTree, ThermalSensor
 from repro.hardware.specs import (
     DDR_SPEC,
@@ -47,7 +46,7 @@ from repro.hardware.specs import (
     U740_SPEC,
     SoCSpec,
 )
-from repro.hardware.storage import MicroSDCard, NVMeDrive
+from repro.hardware.storage import NVMeDrive
 
 __all__ = [
     "ARMIDA_NODE",
@@ -63,14 +62,12 @@ __all__ = [
     "L2_SPEC",
     "MARCONI100_NODE",
     "MONTE_CIMONE_NODE",
-    "MicroSDCard",
     "NVMeDrive",
     "NodeSpec",
     "PerfEventsInterface",
     "PowerRail",
     "RailSet",
     "S7Core",
-    "ShuntSensor",
     "SoCSpec",
     "StreamPrefetcher",
     "ThermalSensor",

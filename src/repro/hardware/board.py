@@ -1,7 +1,7 @@
 """The assembled HiFive Unmatched board.
 
 One board = one compute node's hardware: the U740 core complex, L2, DDR4,
-NVMe + micro-SD storage, GbE, optional Infiniband HCA, the nine-rail power
+NVMe storage, GbE, optional Infiniband HCA, the nine-rail power
 measurement harness, and the three hwmon thermal sensors.  The board is
 deliberately free of behaviour — it is the *composition* the node
 lifecycle (:mod:`repro.cluster.node`), power model (:mod:`repro.power`)
@@ -21,7 +21,7 @@ from repro.hardware.nic import GigabitEthernet, InfinibandHCA
 from repro.hardware.rails import RailSet
 from repro.hardware.sensors import HwmonTree
 from repro.hardware.specs import SoCSpec, U740_SPEC
-from repro.hardware.storage import MicroSDCard, NVMeDrive
+from repro.hardware.storage import NVMeDrive
 
 __all__ = ["HiFiveUnmatched"]
 
@@ -47,7 +47,6 @@ class HiFiveUnmatched:
         self.l2 = L2Cache(spec=soc_spec.l2)
         self.memory = DDR4Subsystem(spec=soc_spec.memory)
         self.nvme = NVMeDrive()
-        self.sdcard = MicroSDCard()
         self.ethernet = GigabitEthernet()
         self.infiniband: Optional[InfinibandHCA] = (
             InfinibandHCA(installed=True) if with_infiniband else None)
@@ -64,11 +63,6 @@ class HiFiveUnmatched:
     def peak_flops(self) -> float:
         """Board peak double-precision FLOP/s (4.0 GFLOP/s on the U740)."""
         return self.soc_spec.peak_flops
-
-    @property
-    def peak_memory_bandwidth(self) -> float:
-        """Board peak DRAM bandwidth in bytes/s (7760 MB/s on the U740)."""
-        return self.soc_spec.memory.peak_bandwidth_bytes_per_s
 
     def enable_hpm_counters(self) -> None:
         """Apply the authors' U-Boot patch: unlock programmable counters."""

@@ -108,18 +108,6 @@ class L2Cache:
         """
         return pattern.working_set_bytes <= 0.9 * self.spec.size_bytes
 
-    def hit_rate(self, pattern: AccessPattern) -> float:
-        """Steady-state L2 hit rate for ``pattern``.
-
-        L2-resident sets hit almost always; streaming sets hit only on the
-        within-line reuse implied by spatial locality plus prefetch coverage.
-        """
-        if self.fits(pattern):
-            return 0.995
-        line_reuse = 1.0 - 8.0 / self.spec.line_bytes  # 8-byte doubles
-        base = line_reuse * pattern.spatial_locality
-        return min(0.999, base + (1 - base) * self.prefetcher.coverage(pattern))
-
     def effective_bandwidth(self, pattern: AccessPattern,
                             ddr_bandwidth: float) -> float:
         """Deliverable bandwidth in bytes/s for ``pattern``.

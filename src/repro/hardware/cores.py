@@ -122,7 +122,6 @@ class U74Core:
         self.core_id = core_id
         self.soc = soc
         self.hpm = HPMUnit(core_id=core_id)
-        self._busy_until = 0.0
         self._current_utilisation = 0.0
         self._clock_on = False
 

@@ -62,26 +62,13 @@ class HPMUnit:
         self._programmable_enabled = True
 
     # -- accumulation ----------------------------------------------------------
-    def add_event(self, name: str, n: int) -> None:
-        """Accumulate a programmable event.
-
-        Counts are discarded while the programmable bank is disabled,
-        mirroring hardware counters that are simply not counting.
-        """
-        if name not in self._events:
-            raise KeyError(f"unknown HPM event {name!r}")
-        if n < 0:
-            raise ValueError(f"negative event count {n}")
-        if self._programmable_enabled:
-            self._events[name] += n
-
     def add_counts(self, cycles: int, instructions: int, fp_ops: int,
                    l2_miss: int, load_store: int) -> None:
         """Accumulate one slice of core work: CYCLE, INSTRET and three events.
 
         A negative increment is rejected before any counter moves.  The
-        programmable events are discarded while the bank is disabled, as in
-        :meth:`add_event`.
+        programmable events are discarded while the bank is disabled,
+        mirroring hardware counters that are simply not counting.
         """
         if (cycles < 0 or instructions < 0 or fp_ops < 0 or l2_miss < 0
                 or load_store < 0):

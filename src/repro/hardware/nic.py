@@ -29,19 +29,14 @@ class GigabitEthernet:
     """The VSC8541-attached 1 Gbit/s Ethernet port.
 
     This is the interconnect the whole-machine HPL run used.  The port
-    holds the link state and the traffic counters; message costs come
-    from the MPI cost model over :class:`~repro.network.link.Link`.
+    holds the traffic counters; message costs come from the MPI cost
+    model over :class:`~repro.network.link.Link`.
     """
 
     name: str = "eth0"
-    link_up: bool = False
     #: Cumulative traffic counters surfaced by stats_pub (net_total.*).
     bytes_sent: int = 0
     bytes_received: int = 0
-
-    def bring_up(self) -> None:
-        """Administratively enable the link."""
-        self.link_up = True
 
     def account_send(self, n_bytes: int) -> None:
         """Record transmitted payload bytes."""

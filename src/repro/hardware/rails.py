@@ -1,21 +1,19 @@
-"""Power rails and shunt-resistor current sensors.
+"""Power rails.
 
 §III: the U740 exposes seven separated power rails (core complex, IOs,
 PLLs, DDR subsystem, PCIe, ...) and the HiFive Unmatched adds shunt
 resistors in series with each rail and with the on-board memory.  Table VI
 reports nine lines; :data:`RAIL_NAMES` reproduces them in the paper's
 order.  The rails are the *measurement* layer — the power *model*
-(:mod:`repro.power.model`) decides how many milliwatts each rail draws; the
-rail object converts that into a shunt voltage and back like the real
-acquisition chain, and keeps an energy integral.
+(:mod:`repro.power.model`) decides how many milliwatts each rail draws;
+the rail object holds that draw and keeps its energy integral.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator
 
-__all__ = ["PowerRail", "ShuntSensor", "RailSet", "RAIL_NAMES"]
+__all__ = ["PowerRail", "RailSet", "RAIL_NAMES"]
 
 #: The nine measurement lines of Table VI, in row order.
 RAIL_NAMES = (
@@ -31,41 +29,13 @@ RAIL_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class ShuntSensor:
-    """A shunt resistor + ADC pair on one rail.
-
-    The acquisition chain measures the voltage drop across ``shunt_ohm``
-    and multiplies by the rail voltage; quantisation is the ADC's LSB.
-    """
-
-    shunt_ohm: float = 0.01
-    rail_voltage: float = 1.0
-    adc_lsb_volt: float = 1e-5
-
-    def measure(self, true_power_w: float) -> float:
-        """Convert true rail power into the sensor's reported watts.
-
-        The conversion goes power → current → shunt drop → quantised drop →
-        reported power, so tiny powers quantise visibly just as they do on
-        the real board (the ``pll`` rail reports 1 mW).
-        """
-        if true_power_w < 0:
-            raise ValueError(f"negative power {true_power_w}")
-        current_a = true_power_w / self.rail_voltage
-        drop_v = current_a * self.shunt_ohm
-        quantised_drop = round(drop_v / self.adc_lsb_volt) * self.adc_lsb_volt
-        return (quantised_drop / self.shunt_ohm) * self.rail_voltage
-
-
 class PowerRail:
     """One supply rail: instantaneous power plus an energy integral."""
 
-    __slots__ = ("name", "sensor", "_power_w", "_energy_j", "_last_update_s")
+    __slots__ = ("name", "_power_w", "_energy_j", "_last_update_s")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.sensor = ShuntSensor()
         self._power_w = 0.0
         self._energy_j = 0.0
         self._last_update_s = 0.0
@@ -96,14 +66,6 @@ class PowerRail:
         self._energy_j += self._power_w * dt
         self._power_w = power_w
         self._last_update_s = now_s
-
-    def measure_w(self) -> float:
-        """Power as reported through the shunt/ADC chain."""
-        return self.sensor.measure(self._power_w)
-
-    def measure_mw(self) -> float:
-        """Measured power in milliwatts (the unit of Table VI)."""
-        return self.measure_w() * 1e3
 
 
 class RailSet:
@@ -137,7 +99,3 @@ class RailSet:
     def total_w(self) -> float:
         """True total board power, watts."""
         return sum([rail._power_w for rail in self._rails.values()])
-
-    def measure_all_mw(self) -> Dict[str, float]:
-        """Per-rail measured power in mW — one Table VI column."""
-        return {rail.name: rail.measure_mw() for rail in self}

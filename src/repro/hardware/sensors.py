@@ -122,7 +122,3 @@ class HwmonTree:
     def set_celsius(self, sensor_name: str, temperature_c: float) -> None:
         """Thermal-model hook: update one sensor."""
         self.sensors[sensor_name].set(temperature_c)
-
-    def any_tripped(self) -> bool:
-        """Whether any sensor is at its over-temperature trip."""
-        return any(sensor.tripped for sensor in self.sensors.values())

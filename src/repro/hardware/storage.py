@@ -1,16 +1,16 @@
-"""Node-local storage: the 1 TB NVMe system disk and the UEFI micro-SD.
+"""Node-local storage: the 1 TB NVMe system disk.
 
 §III: the M.2 slot carries a 1 TB NVMe 2280 SSD holding the operating
-system; a micro-SD card provides the UEFI boot path.  The models track I/O
-counters (stats_pub's ``dsk_total.read``/``dsk_total.writ``) and the NVMe
-temperature the board copies into the hwmon tree.
+system.  The model tracks I/O counters (stats_pub's
+``dsk_total.read``/``dsk_total.writ``) and the NVMe temperature the board
+copies into the hwmon tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["NVMeDrive", "MicroSDCard"]
+__all__ = ["NVMeDrive"]
 
 
 @dataclass
@@ -42,21 +42,3 @@ class NVMeDrive:
             raise ValueError("negative write size")
         self.bytes_written += n_bytes
         return n_bytes / self.write_bandwidth_bytes_per_s
-
-
-@dataclass
-class MicroSDCard:
-    """The micro-SD card holding the UEFI boot firmware.
-
-    Only the boot path touches it: the card is read once per boot at a very
-    modest bandwidth, which is part of why the bootloader region (R2 in
-    Fig. 4) lasts as long as it does.
-    """
-
-    capacity_bytes: int = 32 * 1024 ** 3
-    read_bandwidth_bytes_per_s: float = 20e6
-    firmware_bytes: int = 24 * 1024 ** 2
-
-    def firmware_load_time(self) -> float:
-        """Seconds spent streaming the boot firmware off the card."""
-        return self.firmware_bytes / self.read_bandwidth_bytes_per_s

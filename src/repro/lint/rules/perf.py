@@ -20,7 +20,7 @@ creeping into such code:
 
 The rules only fire inside the hot-path packages — a ``sorted`` in a
 report renderer is nobody's problem.  Genuine cold paths inside the hot
-packages (subscribe, unsubscribe, query endpoints) carry
+packages (subscribe, query endpoints) carry
 ``# simlint: disable=PERF30x`` with a justification, which is the
 intended workflow: the suppression comment documents *why* the pattern
 is safe right where a reviewer will look.

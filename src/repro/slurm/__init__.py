@@ -10,7 +10,7 @@ paper's experiments ran under:
   conservative backfill, node allocation, time limits, node-failure
   handling (a thermal trip drains the node and fails the job, which is
   exactly what happened to node 7's HPL run in Fig. 6);
-* :mod:`repro.slurm.api` — an sbatch/squeue/sinfo/scancel-shaped facade.
+* :mod:`repro.slurm.api` — an sbatch/srun/squeue/sinfo-shaped facade.
 """
 
 from repro.slurm.api import SlurmAPI

@@ -76,12 +76,9 @@ class Job:
     partition: str = "compute"
     profile: WorkloadProfile = IDLE_PROFILE
     state: JobState = JobState.PENDING
-    #: ``--dependency=afterok:<id>`` semantics: this job may start only
-    #: after every listed job COMPLETED; if any of them fails, this job is
-    #: cancelled as DependencyNeverSatisfied.
-    depends_on: List[int] = field(default_factory=list)
-    #: Set by scancel on a running job; the run process observes it at its
-    #: next execution slice and winds the job down cleanly.
+    #: Set by :meth:`SlurmController.cancel` on a running or requeued job;
+    #: the run process observes it at its next execution slice and winds
+    #: the job down cleanly.
     cancel_requested: bool = False
     #: ``sbatch --requeue``: on NODE_FAIL the job is retried (bounded by
     #: ``max_requeues``) after an exponential backoff instead of failing.

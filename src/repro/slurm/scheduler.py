@@ -104,16 +104,13 @@ class SlurmController:
     def submit(self, name: str, user: str, n_nodes: int, duration_s: float,
                time_limit_s: Optional[float] = None,
                partition: Optional[str] = None, profile=None,
-               depends_on: Optional[List[int]] = None,
                requeue: bool = False, max_requeues: int = 3,
                requeue_backoff_s: float = 30.0) -> Job:
         """sbatch: enqueue a job and trigger a scheduling pass.
 
-        ``depends_on`` lists job ids this job must wait for
-        (``--dependency=afterok`` semantics).  ``requeue`` enables
-        ``sbatch --requeue`` behaviour: a NODE_FAIL outcome puts the job
-        back in the queue after an exponential backoff (the job's
-        :class:`~repro.events.backoff.ExponentialBackoff`,
+        ``requeue`` enables ``sbatch --requeue`` behaviour: a NODE_FAIL
+        outcome puts the job back in the queue after an exponential
+        backoff (the job's :class:`~repro.events.backoff.ExponentialBackoff`,
         ``requeue_backoff_s * 2**restarts``) for up to ``max_requeues``
         retries, each attempt recorded in the job's accounting history.
         """
@@ -128,13 +125,9 @@ class SlurmController:
         if limit > part.max_time_s:
             raise ValueError(f"time limit {limit}s exceeds partition max "
                              f"{part.max_time_s}s")
-        for dep_id in depends_on or []:
-            if dep_id not in self.jobs:
-                raise KeyError(f"dependency job {dep_id} does not exist")
         job = Job(job_id=self._next_job_id, name=name, user=user,
                   n_nodes=n_nodes, duration_s=duration_s, time_limit_s=limit,
                   partition=part.name, submit_time_s=self.engine.now,
-                  depends_on=list(depends_on or []),
                   requeue=requeue, max_requeues=max_requeues,
                   requeue_backoff_s=requeue_backoff_s)
         if profile is not None:
@@ -165,44 +158,14 @@ class SlurmController:
             job.cancel_requested = True
 
     # -- scheduling ----------------------------------------------------------
-    def _dependency_state(self, job: Job) -> str:
-        """'ready' | 'waiting' | 'failed' for afterok dependencies."""
-        for dep_id in job.depends_on:
-            dep = self.jobs[dep_id]
-            if dep.state is JobState.COMPLETED:
-                continue
-            if dep.state.is_terminal:
-                return "failed"
-            return "waiting"
-        return "ready"
-
-    def _resolve_dependencies(self) -> List[int]:
-        """Cancel never-satisfiable jobs; return eligible pending ids."""
-        eligible = []
-        for job_id in list(self._queue):
-            job = self.jobs[job_id]
-            state = self._dependency_state(job)
-            if state == "failed":
-                self._queue.remove(job_id)
-                self._finish(job, JobState.CANCELLED,
-                             "DependencyNeverSatisfied")
-            elif state == "ready":
-                eligible.append(job_id)
-        return eligible
-
     def schedule_pass(self) -> None:
-        """One FIFO + conservative-backfill pass over the pending queue.
-
-        Dependency-held jobs neither run nor block the queue (SLURM's
-        behaviour); jobs whose dependency failed are cancelled.
-        """
+        """One FIFO + conservative-backfill pass over the pending queue."""
         started = True
         while started:
             started = False
-            eligible = self._resolve_dependencies()
-            if not eligible:
+            if not self._queue:
                 return
-            head_id = eligible[0]
+            head_id = self._queue[0]
             head = self.jobs[head_id]
             part = self.partitions[head.partition]
             if part.n_idle() >= head.n_nodes:
@@ -214,7 +177,7 @@ class SlurmController:
             # earliest completion among running jobs that frees enough
             # nodes; a later job may start only if it cannot delay that.
             reservation = self._head_reservation_time(head, part)
-            for job_id in eligible[1:]:
+            for job_id in self._queue[1:]:
                 job = self.jobs[job_id]
                 jpart = self.partitions[job.partition]
                 if jpart.n_idle() < job.n_nodes:
@@ -352,8 +315,6 @@ class SlurmController:
     # -- requeue (--requeue semantics) ----------------------------------------
     def _record_attempt(self, job: Job, state: JobState, reason: str,
                         backoff_s: float = 0.0) -> None:
-        if job.start_time_s is None:
-            return  # never ran (cancelled while pending / in backoff)
         job.attempts.append(JobAttempt(
             attempt=len(job.attempts) + 1,
             nodes=tuple(job.allocated_nodes),

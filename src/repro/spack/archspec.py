@@ -35,10 +35,6 @@ class Microarchitecture:
         """The platform-os-target triple Spack displays."""
         return f"linux-{self.vendor.lower()}-{self.name}"
 
-    def supports(self, feature: str) -> bool:
-        """Whether the target advertises an ISA feature."""
-        return feature in self.features
-
     def gcc_flags(self) -> str:
         """Flags a GCC toolchain should receive for this target."""
         return self.compiler_flags.get("gcc", "")

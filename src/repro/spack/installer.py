@@ -101,24 +101,3 @@ class Installer:
         self.modules.register(Module(name=node.name,
                                      version=str(node.version),
                                      prefix=prefix))
-
-    # -- uninstall -----------------------------------------------------------
-    def uninstall(self, name: str, version: str) -> None:
-        """Remove an installed instance (refuses if it has dependents)."""
-        target = next((r for r in self._db.values()
-                       if r.name == name and r.version == version), None)
-        if target is None:
-            raise InstallError(f"{name}@{version} is not installed")
-        for record in self._db.values():
-            if record is target:
-                continue
-            spec_text = self.nfs.read(f"{record.prefix}/.spack-spec").decode()
-            if name in spec_text and record.name != name:
-                # Conservative dependent check: the dependency closure of
-                # every record embeds its dependency names.
-                definition = self.repo.get(record.name)
-                if any(d.name == name for d in definition.dependencies):
-                    raise InstallError(
-                        f"cannot uninstall {name}@{version}: required by "
-                        f"{record.name}@{record.version}")
-        del self._db[target.dag_hash]

@@ -54,16 +54,6 @@ class Version:
     def __hash__(self) -> int:
         return hash(self.components)
 
-    def up_to(self, n: int) -> "Version":
-        """Truncate to the first ``n`` components (``10.3.0``→``10.3``)."""
-        if n < 1:
-            raise ValueError("need at least one component")
-        return Version(".".join(str(c) for c in self.components[:n]))
-
-    def satisfies(self, constraint: "VersionRange") -> bool:
-        """Whether this version lies in ``constraint``."""
-        return constraint.contains(self)
-
     def __str__(self) -> str:
         return self.text
 

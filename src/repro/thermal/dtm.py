@@ -119,8 +119,3 @@ class ClusterDTM:
         events = [event for governor in self.governors.values()
                   for event in governor.events]
         return sorted(events, key=lambda e: e.time_s)
-
-    def mean_frequency_scale(self) -> float:
-        """Average current clock factor across nodes (throughput proxy)."""
-        scales = [governor.scale for governor in self.governors.values()]
-        return sum(scales) / len(scales)

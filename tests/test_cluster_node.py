@@ -52,9 +52,6 @@ class TestBootSequence:
         node.finish_boot(21.0)
         assert node.board.perf.available_events(0) == ["cycles", "instructions"]
 
-    def test_ethernet_up_after_boot(self, booted_node):
-        assert booted_node.board.ethernet.link_up
-
     def test_boot_process_on_engine(self):
         engine = Engine()
         node = ComputeNode(hostname="n")

@@ -36,10 +36,6 @@ class TestJobRequests:
         request = qe_lax_job()
         assert request.duration_s == pytest.approx(37.4, abs=0.5)
 
-    def test_submit_kwargs_shape(self):
-        kwargs = qe_lax_job().submit_kwargs()
-        assert set(kwargs) == {"name", "n_nodes", "duration_s", "profile"}
-
 
 class TestEndToEndSubmission:
     def test_qe_job_runs_on_the_cluster(self):
@@ -47,7 +43,9 @@ class TestEndToEndSubmission:
             enclosure_config=EnclosureConfig.mitigated())
         cluster.boot_all()
         request = qe_lax_job()
-        job = cluster.slurm.submit(user="alice", **request.submit_kwargs())
+        job = cluster.slurm.submit(
+            name=request.name, user="alice", n_nodes=request.n_nodes,
+            duration_s=request.duration_s, profile=request.profile)
         cluster.engine.run(until=cluster.engine.now + 100.0)
         assert job.state is JobState.COMPLETED
         assert job.elapsed_s == pytest.approx(request.duration_s, abs=1.5)

@@ -56,11 +56,6 @@ class TestDistribution:
         lu = DistributedLU(n_ranks=3)
         assert [lu.owner_of_block(b) for b in range(6)] == [0, 1, 2, 0, 1, 2]
 
-    def test_blocks_of_rank(self):
-        lu = DistributedLU(n_ranks=2)
-        assert lu.blocks_of_rank(0, 5) == [0, 2, 4]
-        assert lu.blocks_of_rank(1, 5) == [1, 3]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DistributedLU(n_ranks=0)

@@ -265,6 +265,6 @@ class TestInterruptLedgerInteraction:
         proc = eng.spawn(sleeper(eng), name="killed-on-purpose")
         eng.call_at(5.0, lambda: (proc.interrupt("shutdown"), proc.defuse()))
         eng.run()
-        assert not proc.is_alive
+        assert proc.triggered
         assert isinstance(proc._exception, Interrupt)
         assert eng.unconsumed_failures == []

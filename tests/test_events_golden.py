@@ -127,11 +127,11 @@ def chaos_script(engine):
                 fired = yield env.any_of([flag, env.timeout(period / 3.0)])
                 log.append((env.now, "race", i,
                             sorted(repr(v) for v in fired.values())))
-            if (i + j) % 5 == 0 and mate.is_alive:
+            if (i + j) % 5 == 0 and not mate.triggered:
                 mate.interrupt(f"rotate-{j}")
                 mate = env.spawn(sidekick(env, i, period * 1.31),
                                  name=f"side-{i}-{j}")
-        if mate.is_alive:
+        if not mate.triggered:
             mate.interrupt("done")
 
     for i in range(16):
@@ -239,9 +239,9 @@ def moot_interrupt_script(engine):
 
     def late(env, proc):
         yield env.timeout(1.0)
-        if proc.is_alive:
+        if not proc.triggered:
             proc.interrupt("too-late")
-        log.append((env.now, "late-done", proc.is_alive))
+        log.append((env.now, "late-done", not proc.triggered))
 
     proc = engine.spawn(quick(engine), name="quick")
     engine.spawn(late(engine, proc), name="late")
@@ -298,11 +298,11 @@ def chaos_mix(engine, pairs, rounds):
                 flag = env.event()
                 flag.succeed(j)
                 yield env.any_of([flag, env.timeout(period / 3.0)])
-            if (i + j) % 7 == 0 and mate.is_alive:
+            if (i + j) % 7 == 0 and not mate.triggered:
                 mate.interrupt("rotate")
                 mate = env.spawn(sidekick(env, period * 1.31),
                                  name=f"mate-{i}-{j}")
-        if mate.is_alive:
+        if not mate.triggered:
             mate.interrupt("done")
 
     for i in range(pairs):

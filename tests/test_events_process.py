@@ -15,7 +15,7 @@ def test_process_runs_and_returns_value():
     proc = eng.spawn(worker(eng))
     eng.run()
     assert proc.value == 42
-    assert not proc.is_alive
+    assert proc.triggered
 
 
 def test_process_receives_timeout_value():
@@ -75,7 +75,7 @@ def test_interrupt_delivers_cause():
         try:
             yield env.timeout(100.0)
         except Interrupt as interrupt:
-            caught.append((env.now, interrupt.cause))
+            caught.append((env.now, interrupt.args[0]))
 
     proc = eng.spawn(sleeper(eng))
     eng.call_at(5.0, lambda: proc.interrupt("preempted"))
@@ -208,7 +208,7 @@ def test_interrupt_just_spawned_process_defers_until_after_bootstrap():
         try:
             yield env.timeout(10.0)
         except Interrupt as interrupt:
-            log.append(f"interrupted: {interrupt.cause}")
+            log.append(f"interrupted: {interrupt.args[0]}")
             return "handled"
 
     proc = eng.spawn(worker(eng))
@@ -227,7 +227,7 @@ def test_double_interrupt_delivers_both_causes_in_order():
             try:
                 yield env.timeout(100.0)
             except Interrupt as interrupt:
-                causes.append(interrupt.cause)
+                causes.append(interrupt.args[0])
         return causes
 
     proc = eng.spawn(sleeper(eng))
@@ -244,7 +244,7 @@ def test_interrupt_during_all_of_wait():
         try:
             yield env.all_of([env.timeout(50.0), env.timeout(80.0)])
         except Interrupt as interrupt:
-            return ("interrupted", env.now, interrupt.cause)
+            return ("interrupted", env.now, interrupt.args[0])
         return "finished"
 
     proc = eng.spawn(worker(eng))
@@ -268,7 +268,7 @@ def test_interrupt_in_same_instant_as_completion_is_dropped():
 
     def racer(env):
         yield env.timeout(5.0)
-        if proc.is_alive:
+        if not proc.triggered:
             proc.interrupt("too late")
             fired.append(True)
 

@@ -12,7 +12,6 @@ class TestBoardComposition:
     def test_peaks_match_datasheet(self):
         board = HiFiveUnmatched()
         assert board.peak_flops == pytest.approx(4.0e9)
-        assert board.peak_memory_bandwidth == pytest.approx(7760e6)
 
     def test_infiniband_optional(self):
         assert HiFiveUnmatched().infiniband is None

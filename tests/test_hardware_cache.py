@@ -75,10 +75,6 @@ class TestL2Cache:
         assert cache.effective_bandwidth(pattern, DDR_BW) == \
             pytest.approx(DDR_BW)
 
-    def test_hit_rate_high_when_resident(self):
-        cache = L2Cache()
-        assert cache.hit_rate(AccessPattern(working_set_bytes=MIB)) > 0.99
-
     @given(ws=st.integers(min_value=1, max_value=4 * 1024 ** 3),
            streams=st.integers(min_value=1, max_value=32),
            efficiency=st.floats(min_value=0.0, max_value=1.0))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.memory import DDR4Subsystem, OutOfMemoryError
-from repro.hardware.storage import MicroSDCard, NVMeDrive
+from repro.hardware.storage import NVMeDrive
 
 
 class TestDDR4:
@@ -83,9 +83,3 @@ class TestNVMe:
     def test_capacity_is_one_tb(self):
         assert NVMeDrive().capacity_bytes == 10 ** 12
 
-
-class TestMicroSD:
-    def test_firmware_load_time_is_seconds(self):
-        card = MicroSDCard()
-        # 24 MiB at 20 MB/s ≈ 1.26 s — part of the R2 duration.
-        assert 0.5 < card.firmware_load_time() < 5.0

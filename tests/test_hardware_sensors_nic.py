@@ -41,12 +41,6 @@ class TestHwmonTree:
         with pytest.raises(FileNotFoundError):
             HwmonTree().read("/sys/class/hwmon/hwmon9/temp1_input")
 
-    def test_any_tripped(self):
-        tree = HwmonTree()
-        assert not tree.any_tripped()
-        tree.set_celsius("cpu_temp", 107.0)
-        assert tree.any_tripped()
-
 
 class TestGigabitEthernet:
     def test_traffic_accounting(self):

@@ -24,7 +24,7 @@ def mitigated_cluster():
 
 class TestClusterBoot:
     def test_all_eight_nodes_boot_to_idle(self, mitigated_cluster):
-        states = mitigated_cluster.node_states().values()
+        states = [node.state for node in mitigated_cluster.nodes.values()]
         assert all(state is NodeState.IDLE for state in states)
 
     def test_boot_takes_21_simulated_seconds(self, mitigated_cluster):

@@ -8,22 +8,29 @@ unit-suffix mismatch fails here (and in CI, which runs the same linter).
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.runner import lint_paths
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
 
-def test_source_tree_has_no_unsuppressed_findings():
-    result = lint_paths([SRC])
-    rendered = "\n".join(f.render() for f in result.active)
-    assert result.ok, f"simlint found violations in src/repro:\n{rendered}"
+@pytest.fixture(scope="module")
+def source_tree_lint():
+    """One lint of ``src/repro`` shared by the tests of this module."""
+    return lint_paths([SRC])
 
 
-def test_source_tree_was_actually_scanned():
+def test_source_tree_has_no_unsuppressed_findings(source_tree_lint):
+    rendered = "\n".join(f.render() for f in source_tree_lint.active)
+    assert source_tree_lint.ok, (
+        f"simlint found violations in src/repro:\n{rendered}")
+
+
+def test_source_tree_was_actually_scanned(source_tree_lint):
     # Guard against a silent no-op (e.g. a future path refactor): the tree
     # has well over fifty modules and every scan must keep seeing them.
-    result = lint_paths([SRC])
-    assert result.files_checked > 50
+    assert source_tree_lint.files_checked > 50
 
 
 def test_calibration_anchors_are_loaded():

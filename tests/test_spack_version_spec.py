@@ -24,9 +24,6 @@ class TestVersion:
     def test_alpha_suffix_orders_after_numeric(self):
         assert Version("2.37.x") > Version("2.37.5")
 
-    def test_up_to(self):
-        assert Version("10.3.0").up_to(2) == Version("10.3")
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Version("")
