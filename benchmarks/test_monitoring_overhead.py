@@ -2,7 +2,7 @@
 
 The paper's ODA framing requires monitoring to be lightweight.  This
 bench measures the transport load of the §IV-B configuration (pmu_pub at
-2 Hz × 4 cores × 8 events, stats_pub at 0.2 Hz × 28 metrics, per node)
+2 Hz × 4 cores × 5 events, stats_pub at 0.2 Hz × 28 metrics, per node)
 and asserts the derived rates.
 """
 
@@ -27,9 +27,9 @@ def monitored_minute():
 def test_message_rate_matches_configuration(benchmark, monitored_minute):
     deployment = benchmark(lambda: monitored_minute)
     overhead = deployment.monitoring_overhead_summary()
-    # Per node per second: pmu 2 Hz × 4 cores × 8 events = 64 msgs,
-    # stats 0.2 Hz × 28 metrics = 5.6 msgs → ~69.6; × 8 nodes × 60 s.
-    expected = 8 * 60 * (2 * 4 * 8 + 0.2 * 28)
+    # Per node per second: pmu 2 Hz × 4 cores × 5 events = 40 msgs,
+    # stats 0.2 Hz × 28 metrics = 5.6 msgs → ~45.6; × 8 nodes × 60 s.
+    expected = 8 * 60 * (2 * 4 * 5 + 0.2 * 28)
     assert overhead["messages_published"] == pytest.approx(expected, rel=0.05)
 
 

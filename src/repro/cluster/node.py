@@ -129,9 +129,8 @@ class ComputeNode:
         self.phase = NodePhase.OFF
         self.active_profile = IDLE_PROFILE
         self._now_s = max(self._now_s, now_s)
-        # Power loss: DRAM contents and activity are gone.
+        # Power loss: DRAM contents are gone.
         self.board.memory.release("workload")
-        self.board.memory.set_activity(0.0)
         self._apply_power(self._now_s)
 
     # -- workload execution -----------------------------------------------------
@@ -145,7 +144,6 @@ class ComputeNode:
         self._now_s = max(self._now_s, now_s)
         self.procfs.procs_new_total += 1
         self.procfs.procs_running = 1 + self.board.n_cores
-        self.board.memory.set_activity(profile.ddr_data_activity)
         if profile.mem_fraction > 0:
             self.board.memory.allocate(
                 "workload",
@@ -160,7 +158,6 @@ class ComputeNode:
         self.active_profile = IDLE_PROFILE
         self._now_s = max(self._now_s, now_s)
         self.procfs.procs_running = 1
-        self.board.memory.set_activity(0.0)
         self.board.memory.release("workload")
         self.procfs.update_memory(self.board.memory.usage())
         self._apply_power(self._now_s)

@@ -2,9 +2,11 @@
 
 The plugin reads, in user mode through the perf_events interface, the
 fixed INSTRET and CYCLE counters of every core — plus the programmable
-HPM events once the authors' U-Boot patch has enabled them — and publishes
-each value on its Table II topic.  Counter values are published as
-absolute counts; rate conversion happens at query time
+HPM events once the authors' U-Boot patch has enabled them (``fp_ops``,
+``l2_miss`` and ``load_store``, the events the core model counts; see
+:data:`repro.hardware.hpm.PROGRAMMABLE_EVENTS`) — and publishes each
+value on its Table II topic, five per patched core.  Counter values are
+published as absolute counts; rate conversion happens at query time
 (:meth:`repro.examon.tsdb.TimeSeriesDB.rate`), which is also how the
 Fig. 5 instructions/s heatmap is produced.
 """
@@ -47,8 +49,9 @@ class PmuPubPlugin(SamplingPlugin):
         """Read every available event on every core.
 
         With the stock U-Boot only ``cycles`` and ``instructions`` appear;
-        the patched bootloader exposes the full programmable set — the
-        exact difference §IV-B describes.
+        the patched bootloader adds the programmable set (``fp_ops``,
+        ``l2_miss``, ``load_store``) — the exact difference §IV-B
+        describes.
         """
         perf = self.node.board.perf
         read = perf.read

@@ -226,10 +226,6 @@ class CoreComplex:
         """Sum of INSTRET over all application cores."""
         return sum(c.hpm.instret for c in self.cores)
 
-    def total_flops(self) -> int:
-        """Sum of retired floating-point operations over all cores."""
-        return sum(c.hpm.read_event("fp_ops") for c in self.cores)
-
     def idle(self, duration_s: float) -> None:
         """Advance every core through an OS-idle interval.
 

@@ -7,7 +7,10 @@ enable and program them.  This module models both layers:
 
 * :class:`HPMUnit` — the per-core counter bank with the boot-time enable
   mask; programmable events silently read zero until the bootloader patch
-  (modelled by :meth:`HPMUnit.enable_programmable`) has run.
+  (modelled by :meth:`HPMUnit.enable_programmable`) has run.  The patch
+  programs the three events the core model counts (``fp_ops``,
+  ``l2_miss``, ``load_store``; :data:`PROGRAMMABLE_EVENTS`), so a
+  patched core exposes five counters with the two fixed ones.
 * :class:`PerfEventsInterface` — the per-node OS view pmu_pub samples at
   2 Hz, returning monotonically increasing counts per core.
 """
@@ -22,16 +25,15 @@ __all__ = ["HPMUnit", "PerfEventsInterface", "PROGRAMMABLE_EVENTS", "FIXED_EVENT
 #: Events available on the fixed counters (always on).
 FIXED_EVENTS = ("cycles", "instructions")
 
-#: Events the programmable HPM counters can be configured for.  The list
-#: follows the U74-MC manual's event groups at the granularity the paper's
-#: plugin samples.
+#: Events the patched U-Boot programs into the HPM counters: exactly the
+#: ones the core model counts (:meth:`HPMUnit.add_counts`).  The U74-MC
+#: manual offers more (branch mispredicts, TLB misses), but the model has
+#: no rate for them, so programming them would publish series that only
+#: ever read zero.
 PROGRAMMABLE_EVENTS = (
     "fp_ops",
     "l2_miss",
     "load_store",
-    "branch_mispredict",
-    "itlb_miss",
-    "dtlb_miss",
 )
 
 

@@ -4,8 +4,7 @@ The HiFive Unmatched carries 16 GB of 64-bit DDR4 at up to 1866 MT/s; the
 paper computes STREAM efficiency against a 7760 MB/s peak.  Beyond the
 bandwidth role (delegated to :class:`repro.hardware.cache.L2Cache` for
 pattern effects), this model tracks allocation (the scheduler and the
-benchmarks reserve memory) and activity level (the power model's
-``ddr_mem`` rail input).
+benchmarks reserve memory).
 """
 
 from __future__ import annotations
@@ -22,18 +21,17 @@ class OutOfMemoryError(RuntimeError):
 
 
 class DDR4Subsystem:
-    """The node's main memory: capacity accounting plus activity level.
+    """The node's main memory: capacity accounting.
 
-    ``activity`` is the fraction of peak bandwidth currently being drawn;
-    the power model maps it onto the ``ddr_mem``/``ddr_soc``/``ddr_vpp``
-    rails (Table VI shows STREAM.DDR pushing ddr_mem from 404 mW idle to
-    592 mW).
+    The bandwidth draw is a property of the running workload
+    (``WorkloadProfile.ddr_data_activity``); the power model maps it onto
+    the ``ddr_mem``/``ddr_soc``/``ddr_vpp`` rails (Table VI shows
+    STREAM.DDR pushing ddr_mem from 404 mW idle to 592 mW).
     """
 
     def __init__(self, spec: MemorySpec = DDR_SPEC) -> None:
         self.spec = spec
         self._allocations: Dict[str, int] = {}
-        self._activity = 0.0
         self._initialised = False
 
     # -- boot --------------------------------------------------------------
@@ -45,7 +43,6 @@ class DDR4Subsystem:
         """
         self._initialised = True
         self._allocations.clear()
-        self._activity = 0.0
 
     # -- capacity ------------------------------------------------------------
     @property
@@ -88,15 +85,3 @@ class DDR4Subsystem:
         cach = int(0.04 * capacity)
         return {"used": used, "free": max(0, free - buff - cach),
                 "buff": buff, "cach": cach}
-
-    # -- activity -----------------------------------------------------------
-    @property
-    def activity(self) -> float:
-        """Fraction of peak bandwidth currently drawn (power-model input)."""
-        return self._activity
-
-    def set_activity(self, fraction: float) -> None:
-        """Set instantaneous bandwidth draw as a fraction of peak."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"activity {fraction} outside [0, 1]")
-        self._activity = fraction

@@ -85,11 +85,6 @@ class RailSet:
     def __contains__(self, name: str) -> bool:
         return name in self._rails
 
-    @property
-    def names(self) -> list[str]:
-        """Rail names in declaration order."""
-        return list(self._rails)
-
     def set_powers(self, powers_w: Dict[str, float], now_s: float) -> None:
         """Update several rails at one timestamp."""
         rails = self._rails

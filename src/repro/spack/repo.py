@@ -35,10 +35,6 @@ class Repository:
     def __contains__(self, name: str) -> bool:
         return name in self._packages
 
-    def names(self) -> list[str]:
-        """All package names, sorted."""
-        return sorted(self._packages)
-
 
 def _pkg(name: str, versions: list[str], description: str,
          deps: list[Dependency] | None = None,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
 
 __all__ = ["SlotPosition", "EnclosureConfig", "Enclosure"]
 
@@ -136,7 +135,3 @@ class Enclosure:
         if self.config.lid_on and self.position_of(slot) is SlotPosition.CENTRE:
             preheat = 4.0
         return self.config.ambient_c + preheat
-
-    def resistances(self) -> List[float]:
-        """Thermal resistance for every slot, in slot order."""
-        return [self.thermal_resistance(s) for s in range(self.n_slots)]

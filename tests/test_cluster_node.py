@@ -110,7 +110,8 @@ class TestWorkloadExecution:
         engine.run()
         assert job.state is JobState.COMPLETED
         assert node.state is NodeState.IDLE
-        assert node.board.cores.total_flops() > 0
+        assert sum(core.hpm.read_event("fp_ops")
+                   for core in node.board.cores) > 0
 
 
 class TestEmergencyShutdown:

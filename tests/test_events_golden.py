@@ -56,7 +56,7 @@ SCRIPT_DIGESTS = {
 CHAOS_SCRIPT_EVENTS = 541
 
 FULL_STACK_DIGEST = (
-    "59363f3616479a1d1aa29daaa67319ebeee2b0a9a0750d8f0bad796a153e9b90")
+    "2be301a3ddfc7a5697678906f0d8198ff7d371a274434b56ce818da5bb194e11")
 
 TABLE6_DIGEST = (
     "ebeb95e55e59374e1cabf07706b86d6f1a5d3734e6b0d4ef9c9820c68f85fb0e")

@@ -34,7 +34,7 @@ FIG5_DIGESTS = {
 #: Seed of the examon-outage campaign whose store is pinned.
 OUTAGE_SEED = 3
 OUTAGE_DIGEST = (
-    "013de6543bf6f26e1bb490227b638cbe3084f58a2548060591a688c70a041c81")
+    "827d6f17c6eded81ec6852b6d121892543675db5a5c36f8a276a2e781a23232f")
 
 
 def heatmap_digest(heatmap):

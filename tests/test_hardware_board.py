@@ -37,4 +37,4 @@ class TestBoardComposition:
 
     def test_rails_are_the_table_vi_set(self):
         board = HiFiveUnmatched()
-        assert len(board.rails.names) == 9
+        assert len(list(board.rails)) == 9

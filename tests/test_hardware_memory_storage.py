@@ -46,13 +46,6 @@ class TestDDR4:
         mem.initialise()
         assert mem.allocated_bytes == 0
 
-    def test_activity_bounds(self):
-        mem = self._mem()
-        mem.set_activity(0.5)
-        assert mem.activity == 0.5
-        with pytest.raises(ValueError):
-            mem.set_activity(1.5)
-
     def test_usage_splits_sum_to_capacity(self):
         mem = self._mem()
         mem.allocate("job", 2 * 1024 ** 3)

@@ -38,8 +38,8 @@ class TestPowerRail:
 class TestRailSet:
     def test_has_the_nine_table_vi_lines(self):
         rails = RailSet()
-        assert rails.names == list(RAIL_NAMES)
-        assert len(rails.names) == 9
+        assert [rail.name for rail in rails] == list(RAIL_NAMES)
+        assert len(RAIL_NAMES) == 9
 
     def test_contains(self):
         rails = RailSet()

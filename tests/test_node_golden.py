@@ -34,13 +34,13 @@ from tests.golden import digest
 
 NODE_DIGESTS = {
     "replay":
-        "40451a563ec04754c05fdd87327eaa9e14faec9c794ec407cfaef26924ad9143",
+        "dbf3673e0bdb95dc483cdf6f09e687b4bdbb15ae9f81bd29c8df6aeb3da742f8",
     "dtm":
-        "dc0d05d0125bf28f94eaab87bcc6df8914d03f60fc263ba91c6f96be769febd6",
+        "5c5c217147b4c9e509d98c52ce98434dec2cc16a0c6eb7c55bdc431a66c152d7",
     "trip_and_service":
-        "6c9fb45f344b46cd12daa897ba05339ea2ad8bddfb6e39e2f628c920e3ec8e0b",
+        "c4a7330b2aacbd07754e3a06d4b67bb6de385e14e615f7a9edb52c87743291a9",
     "service_cooldown":
-        "e8067a39905237bd35ee7d1a685530f7a15c5b47ea197de7178de7aad4aa333b",
+        "6a8d5ed0ca06d627ffe909a52950b26db29d4bcdde9633eaf98f87da8c858f34",
 }
 
 FIG3_DIGEST = (
