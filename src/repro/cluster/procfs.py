@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 __all__ = ["ProcFS", "CpuTimes"]
 
@@ -120,7 +120,7 @@ class ProcFS:
         self.load_5m += gain_5m * (runnable - self.load_5m)
         self.load_15m += gain_15m * (runnable - self.load_15m)
 
-    def update_memory(self, usage: Dict[str, int]) -> None:
+    def update_memory(self, usage: Mapping[str, int]) -> None:
         """Mirror the DDR subsystem's usage split (used/free/buff/cach)."""
         self.mem_used = usage["used"]
         self.mem_free = usage["free"]

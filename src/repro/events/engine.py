@@ -103,14 +103,14 @@ class _ProcessedCallbacks(list):
 
     __slots__ = ()
 
-    def _reject(self, *_args: Any) -> None:
+    def append(self, *_args: Any) -> None:
         raise SimulationError(
             "cannot add a callback to an already-processed event; it would "
             "never run. Wait on events via yield/spawn/any_of/all_of (which "
             "handle processed events), or engine.call_at for plain "
             "scheduling")
 
-    append = extend = insert = _reject
+    extend = insert = append
 
 
 #: The one shared rejecting list every processed event points at.

@@ -19,8 +19,12 @@ from repro.cluster.node import ComputeNode
 from repro.examon.broker import MQTTBroker
 from repro.examon.plugins.base import SamplingPlugin
 from repro.examon.topics import TopicSchema
+from repro.hardware.hpm import FIXED_EVENTS, PROGRAMMABLE_EVENTS
 
 __all__ = ["PmuPubPlugin"]
+
+#: Size of a core's event set once the U-Boot patch has run.
+_ALL_EVENTS = len(FIXED_EVENTS) + len(PROGRAMMABLE_EVENTS)
 
 
 class PmuPubPlugin(SamplingPlugin):
@@ -37,13 +41,18 @@ class PmuPubPlugin(SamplingPlugin):
         super().__init__(hostname=node.hostname, broker=broker,
                          sample_hz=sample_hz, schema=schema, **hardening)
         self.node = node
+        #: The cores perf enumerates, ascending; fixed with the board.
+        self._core_ids = node.board.perf.core_ids
         #: core_id → (event list the topics were built for, its
-        #: ``(topic, event)`` pairs).  A core's events only change when
-        #: the programmable HPM bank is enabled, so the Table II topics
-        #: are formatted once per event set, on first use, instead of
-        #: once per read at 2 Hz × cores × events.
-        self._core_topics: Dict[int, Tuple[List[str],
-                                           List[Tuple[str, str]]]] = {}
+        #: ``(topic, event)`` pairs, whether the pairs are final).  The
+        #: Table II topics are formatted once per event set, on first
+        #: use, instead of once per read at 2 Hz × cores × events.
+        #: Nothing disables a programmable bank once the U-Boot patch has
+        #: enabled it, so a core's event set only grows: once it holds
+        #: every event the pairs are final and ``available_events`` is
+        #: no longer asked.
+        self._core_topics: Dict[int, Tuple[List[str], List[Tuple[str, str]],
+                                           bool]] = {}
 
     def sample(self, now_s: float) -> Dict[str, float]:
         """Read every available event on every core.
@@ -57,13 +66,15 @@ class PmuPubPlugin(SamplingPlugin):
         read = perf.read
         core_topics = self._core_topics
         metrics: Dict[str, float] = {}
-        for core_id in perf.core_ids:
-            events = perf.available_events(core_id)
+        for core_id in self._core_ids:
             cached = core_topics.get(core_id)
-            if cached is None or cached[0] != events:
-                cached = core_topics[core_id] = (events, [
-                    (self.schema.pmu_topic(self.hostname, core_id, event),
-                     event) for event in events])
+            if cached is None or not cached[2]:
+                events = perf.available_events(core_id)
+                if cached is None or cached[0] != events:
+                    cached = core_topics[core_id] = (events, [
+                        (self.schema.pmu_topic(self.hostname, core_id, event),
+                         event) for event in events],
+                        len(events) == _ALL_EVENTS)
             for topic, event in cached[1]:
                 metrics[topic] = float(read(core_id, event))
         return metrics

@@ -52,6 +52,8 @@ class HiFiveUnmatched:
             InfinibandHCA(installed=True) if with_infiniband else None)
         self.rails = RailSet()
         self.hwmon = HwmonTree()
+        #: hwmon0, which :meth:`sync_nvme_temperature` writes every tick.
+        self._nvme_sensor = self.hwmon.sensors["nvme_temp"]
         self.perf = PerfEventsInterface(core.hpm for core in self.cores)
 
     @property
@@ -71,7 +73,7 @@ class HiFiveUnmatched:
 
     def sync_nvme_temperature(self) -> None:
         """Propagate the NVMe device temperature into the hwmon tree."""
-        self.hwmon.set_celsius("nvme_temp", self.nvme.temperature_c)
+        self._nvme_sensor.set(self.nvme.temperature_c)
 
     def __repr__(self) -> str:
         ib = "+IB" if self.infiniband is not None else ""

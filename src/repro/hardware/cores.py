@@ -148,12 +148,25 @@ class U74Core:
     def advance(self, activity: CoreActivity) -> None:
         """Account for a slice of executed work.
 
-        Updates CYCLE, INSTRET and the programmable HPM counters.  The clock
-        must be running; calling this on a gated core is a modelling bug.
+        Updates CYCLE, INSTRET and the programmable HPM counters; the
+        programmable events are discarded while the bank is disabled,
+        mirroring hardware counters that are simply not counting.  The
+        clock must be running; calling this on a gated core is a modelling
+        bug.  The increments need no check: ``CoreActivity`` validates
+        every field, so each is a non-negative integer.
         """
         if not self._clock_on:
             raise RuntimeError(f"core {self.core_id}: advance() with clock gated")
-        self.hpm.add_counts(*activity.counts(self.soc.clock_hz, self.MAX_IPC))
+        cycles, instructions, fp_ops, l2_miss, load_store = activity.counts(
+            self.soc.clock_hz, self.MAX_IPC)
+        hpm = self.hpm
+        hpm.cycle += cycles
+        hpm.instret += instructions
+        if hpm._programmable_enabled:
+            events = hpm._events
+            events["fp_ops"] += fp_ops
+            events["l2_miss"] += l2_miss
+            events["load_store"] += load_store
         self._current_utilisation = activity.utilisation
 
     def idle(self, duration_s: float) -> None:

@@ -26,10 +26,10 @@ __all__ = ["HPMUnit", "PerfEventsInterface", "PROGRAMMABLE_EVENTS", "FIXED_EVENT
 FIXED_EVENTS = ("cycles", "instructions")
 
 #: Events the patched U-Boot programs into the HPM counters: exactly the
-#: ones the core model counts (:meth:`HPMUnit.add_counts`).  The U74-MC
-#: manual offers more (branch mispredicts, TLB misses), but the model has
-#: no rate for them, so programming them would publish series that only
-#: ever read zero.
+#: ones the core model counts (:meth:`repro.hardware.cores.U74Core.advance`).
+#: The U74-MC manual offers more (branch mispredicts, TLB misses), but the
+#: model has no rate for them, so programming them would publish series
+#: that only ever read zero.
 PROGRAMMABLE_EVENTS = (
     "fp_ops",
     "l2_miss",
@@ -43,7 +43,8 @@ class HPMUnit:
     Fixed counters (CYCLE, INSTRET) always accumulate.  Programmable
     counters accumulate only after :meth:`enable_programmable` — the
     behaviour of the stock U-Boot (counters off) versus the authors' patched
-    U-Boot (counters on and programmed).
+    U-Boot (counters on and programmed).  The owning core
+    (:meth:`repro.hardware.cores.U74Core.advance`) is the one writer.
     """
 
     def __init__(self, core_id: int) -> None:
@@ -62,27 +63,6 @@ class HPMUnit:
     def enable_programmable(self) -> None:
         """Enable and program all HPM counters (the paper's U-Boot patch)."""
         self._programmable_enabled = True
-
-    # -- accumulation ----------------------------------------------------------
-    def add_counts(self, cycles: int, instructions: int, fp_ops: int,
-                   l2_miss: int, load_store: int) -> None:
-        """Accumulate one slice of core work: CYCLE, INSTRET and three events.
-
-        A negative increment is rejected before any counter moves.  The
-        programmable events are discarded while the bank is disabled,
-        mirroring hardware counters that are simply not counting.
-        """
-        if (cycles < 0 or instructions < 0 or fp_ops < 0 or l2_miss < 0
-                or load_store < 0):
-            raise ValueError("negative HPM increment in "
-                             f"{cycles, instructions, fp_ops, l2_miss, load_store}")
-        self.cycle += cycles
-        self.instret += instructions
-        if self._programmable_enabled:
-            events = self._events
-            events["fp_ops"] += fp_ops
-            events["l2_miss"] += l2_miss
-            events["load_store"] += load_store
 
     # -- reads -------------------------------------------------------------
     def read_event(self, name: str) -> int:

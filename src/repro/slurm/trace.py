@@ -121,15 +121,20 @@ def replay_trace(controller: SlurmController, trace: List[TraceEntry],
         engine.call_at(start_time + entry.submit_time_s, submit)
 
     guard = engine.now + guard_s
+    # Terminal states are final, so the jobs before ``settled`` (in
+    # submission order) stay terminal and are never looked at again.
+    settled = 0
     while True:
         if not engine.queue_depth:
             break
         if engine.peek() > guard:
             raise TimeoutError("trace replay guard expired")
         engine.step()
-        if (len(jobs) == len(trace)
-                and all(job.state.is_terminal for job in jobs)):
-            break
+        if len(jobs) == len(trace):
+            while settled < len(jobs) and jobs[settled].state.is_terminal:
+                settled += 1
+            if settled == len(jobs):
+                break
 
     end_time = max((job.end_time_s or engine.now) for job in jobs)
     waits = [job.wait_time_s or 0.0 for job in jobs]

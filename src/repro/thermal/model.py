@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.hardware.sensors import HwmonTree
+from repro.hardware.sensors import HwmonTree, ThermalSensor
 from repro.thermal.enclosure import Enclosure
 
 __all__ = ["ThermalRC", "NodeThermalModel"]
@@ -107,7 +107,13 @@ class NodeThermalModel:
                  hwmon: HwmonTree | None = None) -> None:
         self.enclosure = enclosure
         self.slot = slot
-        self.hwmon = hwmon
+        #: The hwmon1 sensors :meth:`step` writes, held so the per-second
+        #: step does no by-name lookup.
+        self._cpu_sensor: ThermalSensor | None = None
+        self._mb_sensor: ThermalSensor | None = None
+        if hwmon is not None:
+            self._cpu_sensor = hwmon.sensors["cpu_temp"]
+            self._mb_sensor = hwmon.sensors["mb_temp"]
         ambient = enclosure.local_ambient(slot)
         r = enclosure.thermal_resistance(slot)
         self.soc = ThermalRC(resistance_k_per_w=r,
@@ -140,9 +146,9 @@ class NodeThermalModel:
         self.motherboard.step(dt_s, board_power_w * self.MB_HEAT_FRACTION, ambient)
         nvme_ambient = 0.5 * (ambient + self.motherboard.temperature_c)
         self.nvme.step(dt_s, self.NVME_POWER_W, nvme_ambient)
-        if self.hwmon is not None:
-            self.hwmon.set_celsius("cpu_temp", self.soc.temperature_c)
-            self.hwmon.set_celsius("mb_temp", self.motherboard.temperature_c)
+        if self._cpu_sensor is not None:
+            self._cpu_sensor.set(self.soc.temperature_c)
+            self._mb_sensor.set(self.motherboard.temperature_c)
 
     def steady_state_soc_c(self, board_power_w: float) -> float:
         """SoC temperature this slot settles at under constant power."""

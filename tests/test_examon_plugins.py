@@ -8,6 +8,7 @@ from repro.examon.payload import decode_payload
 from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import TABLE_III_METRICS, StatsPubPlugin
 from repro.events import Engine
+from repro.hardware.hpm import FIXED_EVENTS, PROGRAMMABLE_EVENTS
 from repro.power.model import HPL_PROFILE
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
 
@@ -74,6 +75,46 @@ class TestPmuPub:
         metrics = plugin.sample(22.5)
         assert any(topic.endswith("/fp_ops") for topic in metrics)
         assert metrics == PmuPubPlugin(node, MQTTBroker()).sample(22.5)
+
+    def test_patch_mid_run_publishes_the_three_events_from_the_next_sample(
+            self):
+        node = booted_node(patched_uboot=False)
+        broker = MQTTBroker()
+        received = []
+        broker.subscribe("test", "#", received.append)
+        plugin = PmuPubPlugin(node, broker)
+        perf = node.board.perf
+        asked, reads = [], []
+        available, read = perf.available_events, perf.read
+
+        def counting_available(core_id):
+            asked.append(core_id)
+            return available(core_id)
+
+        def counting_read(core_id, event):
+            reads.append(event)
+            return read(core_id, event)
+
+        perf.available_events, perf.read = counting_available, counting_read
+
+        def published_events():
+            events = {message.topic.rsplit("/", 1)[1] for message in received}
+            received.clear()
+            return events
+
+        plugin.publish_once(22.0)
+        assert published_events() == set(FIXED_EVENTS)
+        node.board.enable_hpm_counters()  # what the U-Boot patch does
+        for now_s in (22.5, 23.0, 23.5):
+            plugin.publish_once(now_s)
+            assert published_events() == (set(FIXED_EVENTS)
+                                          | set(PROGRAMMABLE_EVENTS))
+        # Each core is asked for its events until it holds the full set,
+        # which only grows: the first two samples ask, the rest do not.
+        assert len(asked) == 2 * 4
+        # Every published value is still read from the counters.
+        assert len(reads) == 4 * len(FIXED_EVENTS) + 3 * 4 * (
+            len(FIXED_EVENTS) + len(PROGRAMMABLE_EVENTS))
 
     def test_counters_increase_under_load(self):
         node = booted_node()

@@ -1,20 +1,25 @@
 """Tests for the Grafana dashboard export and the job-trace machinery."""
 
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import MonteCimoneCluster
 from repro.events import Engine
 from repro.examon.grafana import (
     build_cluster_dashboard,
     build_thermal_dashboard,
     export_dashboard,
 )
+from repro.power.model import HPL_PROFILE, QE_PROFILE
+from repro.slurm.job import JobState
 from repro.slurm.partition import Partition, SlurmNodeInfo
 from repro.slurm.scheduler import SlurmController
-from repro.slurm.trace import generate_trace, replay_trace
+from repro.slurm.trace import TraceEntry, generate_trace, replay_trace
+from repro.thermal.enclosure import EnclosureConfig
 
 HOSTS = [f"mc-node-{i}" for i in range(1, 9)]
 
@@ -115,6 +120,46 @@ class TestTraceReplay:
         controller = make_controller()
         report = replay_trace(controller, generate_trace(12, 1800.0))
         assert sum(report.per_user_jobs.values()) == 12
+
+    def test_replay_stops_at_the_first_step_every_job_is_terminal(self):
+        # The first job is requeued after a node trip while the two jobs
+        # submitted after it have finished: REQUEUED is not terminal, so
+        # the replay must run on until that job's second attempt ends,
+        # and stop at that very step.
+        cluster = MonteCimoneCluster(
+            enclosure_config=EnclosureConfig.mitigated())
+        cluster.boot_all()
+        controller, engine = cluster.slurm, cluster.engine
+        submit = controller.submit
+        controller.submit = functools.partial(submit, requeue=True)
+        trace = [TraceEntry(0.0, "long", "alice", 1, 600.0, HPL_PROFILE),
+                 TraceEntry(10.0, "short-1", "bob", 1, 60.0, QE_PROFILE),
+                 TraceEntry(20.0, "short-2", "bob", 1, 60.0, QE_PROFILE)]
+        start = engine.now
+
+        def trip_the_long_job():
+            long_job = controller.jobs[min(controller.jobs)]
+            cluster.inject_node_failure(long_job.allocated_nodes[0])
+
+        engine.call_at(start + 150.0, trip_the_long_job)
+        settled_after_step = []
+        step = engine.step
+
+        def recording_step():
+            step()
+            jobs = controller.jobs.values()
+            settled_after_step.append(
+                len(jobs) == len(trace)
+                and all(job.state.is_terminal for job in jobs))
+
+        engine.step = recording_step
+        report = replay_trace(controller, trace)
+        long_job = controller.jobs[min(controller.jobs)]
+        assert long_job.restart_count == 1
+        assert long_job.state is JobState.COMPLETED
+        assert report.completed == 3
+        assert settled_after_step[-1]
+        assert not any(settled_after_step[:-1])
 
     @given(seed=st.integers(min_value=0, max_value=100))
     @settings(max_examples=10, deadline=None)

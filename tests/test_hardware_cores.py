@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.cores import CoreActivity, CoreComplex, U74Core
 
@@ -37,6 +39,28 @@ class TestCoreActivity:
     def test_rejects_negative_l2_miss_rate(self, rate):
         with pytest.raises(ValueError, match="l2_miss_rate"):
             CoreActivity(duration_s=1.0, l2_miss_rate=rate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(duration_s=st.floats(min_value=0.0, max_value=1e4),
+           ipc=st.floats(min_value=0.0, max_value=10.0),
+           flop_fraction=st.floats(min_value=0.0, max_value=1.0),
+           l2_miss_rate=st.floats(min_value=0.0, max_value=10.0),
+           utilisation=st.floats(min_value=0.0, max_value=1.0),
+           clock_hz=st.sampled_from([1.2e9, 0.6e9, 1.0]),
+           max_ipc=st.sampled_from([2.0, 1.0, 0.0]))
+    def test_counts_are_non_negative_integers(
+            self, duration_s, ipc, flop_fraction, l2_miss_rate, utilisation,
+            clock_hz, max_ipc):
+        # The validation in __post_init__ is the only check between an
+        # activity and the HPM counters, so every increment an accepted
+        # activity yields must be a non-negative integer.
+        activity = CoreActivity(duration_s=duration_s, ipc=ipc,
+                                flop_fraction=flop_fraction,
+                                l2_miss_rate=l2_miss_rate,
+                                utilisation=utilisation)
+        counts = activity.counts(clock_hz, max_ipc)
+        assert len(counts) == 5
+        assert all(type(n) is int and n >= 0 for n in counts)
 
     def test_is_immutable(self):
         activity = CoreActivity(duration_s=1.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.cores import CoreActivity, U74Core
 from repro.hardware.hpm import (
     FIXED_EVENTS,
     HPMUnit,
@@ -9,57 +10,67 @@ from repro.hardware.hpm import (
     PerfEventsInterface,
 )
 
+#: One slice of work that feeds every counter.
+WORK = CoreActivity(duration_s=1e-6, ipc=1.5, flop_fraction=0.4,
+                    l2_miss_rate=0.1, utilisation=0.5)
+
+
+def clocked_core():
+    """A core whose unit counts: the core is the HPM bank's one writer."""
+    core = U74Core(core_id=0)
+    core.start_clock()
+    return core
+
+
+def work_counts(core):
+    return WORK.counts(core.soc.clock_hz, core.MAX_IPC)
+
 
 class TestHPMUnit:
     def test_fixed_counters_always_count(self):
-        unit = HPMUnit(core_id=0)
-        unit.add_counts(100, 50, 0, 0, 0)
-        assert unit.cycle == 100
-        assert unit.instret == 50
+        core = clocked_core()
+        core.advance(WORK)
+        cycles, instructions = work_counts(core)[:2]
+        assert cycles > 0 and instructions > 0
+        assert core.hpm.cycle == cycles
+        assert core.hpm.instret == instructions
 
     def test_programmable_disabled_at_boot(self):
         # §IV-B: "the remaining programmable counters ... are disabled at
         # boot time".
-        unit = HPMUnit(core_id=0)
+        core = clocked_core()
+        unit = core.hpm
         assert not unit.programmable_enabled
-        unit.add_counts(0, 0, 1000, 0, 0)
+        core.advance(WORK)
+        assert work_counts(core)[2] > 0
         assert unit.read_event("fp_ops") == 0
 
     def test_uboot_patch_enables_counting(self):
-        unit = HPMUnit(core_id=0)
-        unit.enable_programmable()
-        unit.add_counts(0, 0, 1000, 0, 0)
-        assert unit.read_event("fp_ops") == 1000
+        core = clocked_core()
+        core.hpm.enable_programmable()
+        core.advance(WORK)
+        assert core.hpm.read_event("fp_ops") == work_counts(core)[2] > 0
 
     def test_unknown_event_rejected(self):
         unit = HPMUnit(core_id=0)
         with pytest.raises(KeyError):
             unit.read_event("no_such_event")
 
-    def test_negative_counts_rejected(self):
-        unit = HPMUnit(core_id=0)
-        unit.enable_programmable()
-        before = unit.snapshot()
-        for position in range(5):
-            counts = [10, 10, 10, 10, 10]
-            counts[position] = -1
-            with pytest.raises(ValueError):
-                unit.add_counts(*counts)
-            # Rejected before any counter moves.
-            assert unit.snapshot() == before
-
-    def test_add_counts_is_one_slice_of_work(self):
-        unit = HPMUnit(core_id=0)
-        unit.add_counts(100, 50, 20, 3, 15)
+    def test_core_advance_is_one_slice_of_work(self):
+        core = clocked_core()
+        unit = core.hpm
+        cycles, instructions, fp_ops, l2_miss, load_store = work_counts(core)
+        core.advance(WORK)
         # The programmable bank discards its three events while disabled.
         assert unit.snapshot() == {
-            "cycles": 100, "instructions": 50, "fp_ops": 0, "l2_miss": 0,
-            "load_store": 0}
+            "cycles": cycles, "instructions": instructions, "fp_ops": 0,
+            "l2_miss": 0, "load_store": 0}
         unit.enable_programmable()
-        unit.add_counts(100, 50, 20, 3, 15)
-        assert (unit.cycle, unit.instret) == (200, 100)
+        core.advance(WORK)
+        assert (unit.cycle, unit.instret) == (2 * cycles, 2 * instructions)
         assert [unit.read_event(e) for e in ("fp_ops", "l2_miss",
-                                             "load_store")] == [20, 3, 15]
+                                             "load_store")] == [
+            fp_ops, l2_miss, load_store]
 
     def test_snapshot_contains_everything(self):
         unit = HPMUnit(core_id=0)
@@ -94,11 +105,11 @@ class TestPerfEventsInterface:
 
     def test_reads_are_per_core(self):
         iface, units = self._iface()
-        units[2].add_counts(0, 7, 0, 0, 0)
+        units[2].instret += 7
         assert iface.read(2, "instructions") == 7
         assert iface.read(0, "instructions") == 0
 
     def test_read_all_matches_snapshot(self):
         iface, units = self._iface(enabled=True)
-        units[1].add_counts(5, 0, 0, 0, 0)
+        units[1].cycle += 5
         assert iface.read_all(1)["cycles"] == 5

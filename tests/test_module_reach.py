@@ -12,6 +12,10 @@ perfbench:
   inside a string constant that is not a docstring and holds no
   whitespace (``getattr`` names, perfbench's ``"module:Class"`` targets;
   prose such as ``"unload it first"`` does not count);
+* a method (a ``def`` directly in a class body) must be read back the
+  way a method is reached: an ``Attribute`` load or such a string token.
+  A bare ``Name`` load does not count, because a local variable or a
+  parameter that shares the method's name would otherwise keep it alive;
 * an attribute stored as ``self.x = ...`` must be read back: an
   ``Attribute`` load of ``x`` or ``x`` inside such a string.  A bare
   ``Name`` load does not count, because in ``self.x = x`` the parameter
@@ -38,16 +42,22 @@ SCANNED = ("src", "examples", "benchmarks", "perfbench")
 #: Package ``__init__`` files whose imports are a use, not a re-export.
 REGISTERING_INITS = {SRC / "repro" / "lint" / "rules" / "__init__.py"}
 
-#: Failure-path state that only the fault tests read today.  Each entry
-#: must stay defined and unreferenced (see the stale-entry test), so the
-#: list can only shrink.
-ALLOWED_DEFS = {
+#: Methods that only tests reach.  Each entry must stay defined and
+#: unreached (see the stale-entry test), so the list can only shrink.
+ALLOWED_METHODS = {
+    # Failure-path state that only the fault tests read today.
     "defused": "Event.defused: failure-ledger state, a consumed failure "
                "versus one the ledger must report",
     "connected": "SamplingPlugin.connected: broker-outage state of the "
                  "buffer-and-backfill path",
     "buffered_samples": "SamplingPlugin.buffered_samples: samples held "
                         "for backfill during a broker outage",
+    # Behaviour tests observe the model through these.
+    "interrupt": "Process.interrupt: throws Interrupt into a process; the "
+                 "kernel failure and events golden tests drive the "
+                 "Interrupt delivery path through it",
+    "throttled": "ThermalGovernor.throttled: whether DTM holds the clock "
+                 "below full speed, the state the DTM tests assert on",
 }
 ALLOWED_ATTRIBUTES = {
     "publish_failures": "SamplingPlugin degradation counter: publishes "
@@ -68,8 +78,11 @@ class Scan(NamedTuple):
     references: Set[str]
     #: Names read back as attributes (``Attribute`` loads, string tokens).
     attribute_loads: Set[str]
-    #: ``def``/``class`` names under ``src/repro`` -> "path:line" sites.
+    #: ``def``/``class`` names under ``src/repro`` -> "path:line" sites,
+    #: methods excluded.
     definitions: Dict[str, List[str]]
+    #: Method names under ``src/repro`` -> "path:line" sites.
+    methods: Dict[str, List[str]]
     #: ``self.x`` stores under ``src/repro`` -> "path:line" sites.
     stored_attributes: Dict[str, List[str]]
 
@@ -130,7 +143,7 @@ def _is_dunder(name: str) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def scan() -> Scan:
-    result = Scan(set(), set(), {}, {})
+    result = Scan(set(), set(), {}, {}, {})
     for path, tree in scanned_trees():
         docstrings = _docstrings(tree)
         for node in ast.walk(tree):
@@ -155,12 +168,18 @@ def scan() -> Scan:
         if SRC / "repro" not in path.parents:
             continue
         where = path.relative_to(ROOT)
+        methods = {id(member) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for member in node.body
+                   if isinstance(member, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if isinstance(node, ast.ClassDef) and _is_registered(node):
                     continue
-                result.definitions.setdefault(node.name, []).append(
+                kind = (result.methods if id(node) in methods
+                        else result.definitions)
+                kind.setdefault(node.name, []).append(
                     f"{where}:{node.lineno}")
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Store)
@@ -175,6 +194,12 @@ def unreferenced_definitions() -> Dict[str, List[str]]:
     found = scan()
     return {name: sites for name, sites in found.definitions.items()
             if not _is_dunder(name) and name not in found.references}
+
+
+def unreached_methods() -> Dict[str, List[str]]:
+    found = scan()
+    return {name: sites for name, sites in found.methods.items()
+            if not _is_dunder(name) and name not in found.attribute_loads}
 
 
 def unread_attributes() -> Dict[str, List[str]]:
@@ -204,11 +229,18 @@ def test_every_module_is_imported_outside_tests():
 
 
 def test_every_definition_is_referenced_outside_tests():
-    hits = {name: sites for name, sites in unreferenced_definitions().items()
-            if name not in ALLOWED_DEFS}
+    hits = unreferenced_definitions()
     assert not hits, (
         "defs/classes under src/repro that nothing outside tests/ "
         "references:\n" + _render(hits))
+
+
+def test_every_method_is_reached_outside_tests():
+    hits = {name: sites for name, sites in unreached_methods().items()
+            if name not in ALLOWED_METHODS}
+    assert not hits, (
+        "methods under src/repro that nothing outside tests/ reads as an "
+        "attribute:\n" + _render(hits))
 
 
 def test_every_stored_attribute_is_read_outside_tests():
@@ -220,12 +252,12 @@ def test_every_stored_attribute_is_read_outside_tests():
 
 
 def test_allowlists_hold_no_stale_entry():
-    unreferenced, unread = unreferenced_definitions(), unread_attributes()
+    unreached, unread = unreached_methods(), unread_attributes()
     stale = sorted(
-        [name for name in ALLOWED_DEFS if name not in unreferenced]
+        [name for name in ALLOWED_METHODS if name not in unreached]
         + [name for name in ALLOWED_ATTRIBUTES if name not in unread])
     assert not stale, (
         "allowlisted names that are gone or now used outside tests/ "
         "(drop them from the allowlist): " + ", ".join(stale))
     assert all(reason.strip() for reason in
-               [*ALLOWED_DEFS.values(), *ALLOWED_ATTRIBUTES.values()])
+               [*ALLOWED_METHODS.values(), *ALLOWED_ATTRIBUTES.values()])
