@@ -47,7 +47,7 @@ from repro.thermal.enclosure import EnclosureConfig
 
 __all__ = [
     "comparison_table", "fig2_hpl_scaling", "fig3_power_traces",
-    "fig4_boot_power", "fig5_heatmaps", "fig6_thermal_runaway",
+    "fig4_boot_power", "fig5_heatmaps", "fig5_store", "fig6_thermal_runaway",
     "infiniband_status", "qe_lax_result", "table1_software_stack",
     "table2_topics", "table3_stats_metrics", "table4_hwmon",
     "table5_stream", "table6_power",
@@ -226,10 +226,11 @@ def fig4_boot_power() -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 # Fig. 5 and Fig. 6: full-cluster simulations
 # ---------------------------------------------------------------------------
-def fig5_heatmaps(duration_s: float = 300.0):
-    """Fig. 5: run HPL on all 8 nodes under ExaMon; return the heatmaps.
+def fig5_store(duration_s: float = 300.0):
+    """The Fig. 5 run: HPL on all 8 nodes under ExaMon.
 
-    Returns ``(instructions, network, memory)`` heatmap objects.
+    Returns ``(deployment, start_s, end_s)``: the ExaMon deployment whose
+    store holds the run, and the run's simulated start and end.
     """
     cluster = MonteCimoneCluster(enclosure_config=EnclosureConfig.mitigated())
     cluster.boot_all()
@@ -238,7 +239,15 @@ def fig5_heatmaps(duration_s: float = 300.0):
     api = SlurmAPI(cluster.slurm)
     start = cluster.engine.now
     api.srun("hpl", "bench", 8, duration_s=duration_s, profile=HPL_PROFILE)
-    end = cluster.engine.now
+    return deployment, start, cluster.engine.now
+
+
+def fig5_heatmaps(duration_s: float = 300.0):
+    """Fig. 5: run HPL on all 8 nodes under ExaMon; return the heatmaps.
+
+    Returns ``(instructions, network, memory)`` heatmap objects.
+    """
+    deployment, start, end = fig5_store(duration_s)
     window = max(duration_s / 30.0, 1.0)
     dashboard = deployment.dashboard
     return (dashboard.instructions_heatmap(start, end, window),

@@ -7,6 +7,9 @@ its ``repr``, so a one-ulp change anywhere shows up.
 
 * The three Fig. 5 heatmaps (instructions, network, memory) of the
   300-second 8-node HPL run.
+* The REST responses over the same store: one refresh of each Grafana
+  dashboard (48 ``/api/rate`` and 16 ``/api/query`` requests) and the
+  ``/api/aggregate`` request of ``examples/monitoring_dashboard.py``.
 * The full store contents (every topic, every point) after the chaos
   ``examon-outage`` campaign, whose backfill replays buffered samples
   with their original timestamps.  The backfill is lossless, so the
@@ -18,8 +21,10 @@ its ``repr``, so a one-ulp change anywhere shows up.
 
 import pytest
 
-from repro.analysis.experiments import fig5_heatmaps
+from repro.analysis.experiments import fig5_store
 from repro.chaos.scenarios import run_scenario
+from repro.examon.grafana import (build_cluster_dashboard,
+                                  build_thermal_dashboard)
 from tests.golden import digest, store_digest
 
 FIG5_DIGESTS = {
@@ -30,6 +35,10 @@ FIG5_DIGESTS = {
     "memory":
         "d2be250aff4f22daac90b3c624d7d7f5532bf5d376018c0c16bc2b37d6f859a5",
 }
+
+#: Digest of the REST responses of ``rest_requests`` over the Fig. 5 store.
+REST_DIGEST = (
+    "7f54d871517b9d9780141a7ed57f75aeeeeafbfd6197e813ca80be58414952fd")
 
 #: Seed of the examon-outage campaign whose store is pinned.
 OUTAGE_SEED = 3
@@ -45,14 +54,61 @@ def heatmap_digest(heatmap):
     return digest(lines)
 
 
+def rest_requests(deployment, start_s, end_s):
+    """The REST requests a dashboard refresh and the example make."""
+    hosts = list(deployment.cluster.nodes)
+    requests = [
+        (target["endpoint"], target["params"])
+        for dashboard in (build_cluster_dashboard(hosts, deployment.schema),
+                          build_thermal_dashboard(hosts, deployment.schema))
+        for panel in dashboard["panels"] for target in panel["targets"]]
+    topic = deployment.schema.stats_topic("mc-node-1", "temperature.cpu_temp")
+    requests.append(("/api/aggregate", {"topic": topic, "start": start_s,
+                                        "end": end_s, "window": 60.0,
+                                        "how": "max"}))
+    return requests
+
+
+def rest_digest(responses):
+    """Digest of ``(endpoint, params, points)`` responses, in order."""
+    lines = []
+    for endpoint, params, points in responses:
+        lines.append(endpoint + " " + params["topic"])
+        lines.extend(f"{point['t']!r} {point['v']!r}" for point in points)
+    return digest(lines)
+
+
 @pytest.fixture(scope="module")
-def fig5():
-    return dict(zip(FIG5_DIGESTS, fig5_heatmaps(duration_s=300.0)))
+def fig5_run():
+    """The 300-second Fig. 5 store, built once for this module."""
+    return fig5_store(duration_s=300.0)
+
+
+@pytest.fixture(scope="module")
+def fig5(fig5_run):
+    """The Fig. 5 heatmaps, as ``fig5_heatmaps(300.0)`` reads them."""
+    deployment, start, end = fig5_run
+    dashboard, window = deployment.dashboard, max(300.0 / 30.0, 1.0)
+    return {"instructions": dashboard.instructions_heatmap(start, end, window),
+            "network": dashboard.network_heatmap(start, end, window),
+            "memory": dashboard.memory_heatmap(start, end, window)}
 
 
 @pytest.mark.parametrize("name", list(FIG5_DIGESTS))
 def test_fig5_heatmap_digest(fig5, name):
     assert heatmap_digest(fig5[name]) == FIG5_DIGESTS[name]
+
+
+def test_rest_responses_digest(fig5_run):
+    deployment, start, end = fig5_run
+    requests = rest_requests(deployment, start, end)
+    kinds = [endpoint for endpoint, _params in requests]
+    assert (kinds.count("/api/rate"), kinds.count("/api/query"),
+            kinds.count("/api/aggregate")) == (48, 16, 1)
+    responses = [(endpoint, params, deployment.rest.get(endpoint, params))
+                 for endpoint, params in requests]
+    assert all(points for _endpoint, _params, points in responses)
+    assert rest_digest(responses) == REST_DIGEST
 
 
 def test_examon_outage_store_digest():
