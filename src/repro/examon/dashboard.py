@@ -10,8 +10,9 @@ Builds the two figures ExaMon produces in the paper:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.examon.topics import TopicSchema
 from repro.examon.tsdb import TimeSeriesDB
@@ -103,8 +104,9 @@ class Dashboard:
         rows: Dict[str, List[Optional[float]]] = {}
         for host in self.hostnames:
             topic = self.schema.stats_topic(host, "memory_usage.used")
-            points = self.db.query(topic, start_s, end_s)
-            rows[host] = self._bucketise(points, start_s, window_s, len(times))
+            rows[host] = self._bucket_means(
+                *self.db.columns(topic, start_s, end_s), start_s, window_s,
+                len(times))
         return Heatmap(metric="memory used", times=times, rows=rows)
 
     # -- Fig. 6 -------------------------------------------------------------
@@ -141,14 +143,30 @@ class Dashboard:
         return times
 
     @staticmethod
-    def _bucketise(points, start_s: float, window_s: float,
-                   n_buckets: int) -> List[Optional[float]]:
-        buckets: List[List[float]] = [[] for _ in range(n_buckets)]
-        for t, v in points:
-            index = int((t - start_s) / window_s)
-            if 0 <= index < n_buckets:
-                buckets[index].append(v)
-        return [sum(b) / len(b) if b else None for b in buckets]
+    def _bucket_means(times: Sequence[float], values: Sequence[float],
+                      start_s: float, window_s: float,
+                      n_buckets: int) -> List[Optional[float]]:
+        """Per-bucket mean of a series sorted by time; ``None`` if empty.
+
+        A point belongs to bucket ``int((t - start_s) / window_s)`` and is
+        kept when ``0 <= index < n_buckets`` (``int()`` truncates toward
+        zero, so a point less than a window before ``start_s`` lands in
+        bucket 0).  The index never decreases along sorted times, so each
+        bucket is one slice of the columns, found by bisecting with that
+        same index as the key; its mean is the builtin ``sum()`` of the
+        slice in stored order over its length, the same operands in the
+        same order as a per-point scan.
+        """
+        def index(t: float) -> int:
+            return int((t - start_s) / window_s)
+
+        means: List[Optional[float]] = []
+        lo = bisect.bisect_left(times, 0, key=index)
+        for bucket in range(1, n_buckets + 1):
+            hi = bisect.bisect_left(times, bucket, lo, key=index)
+            means.append(sum(values[lo:hi]) / (hi - lo) if hi > lo else None)
+            lo = hi
+        return means
 
     def _sum_of_rates(self, topics: List[str], start_s: float, end_s: float,
                       window_s: float, n_buckets: int) -> List[Optional[float]]:
@@ -157,8 +175,9 @@ class Dashboard:
         total = [0.0] * n_buckets
         seen = [False] * n_buckets
         for topic in topics:
-            bucketed = self._bucketise(self.db.rate(topic, start_s, end_s),
-                                       start_s, window_s, n_buckets)
+            bucketed = self._bucket_means(
+                *self.db.rate_columns(topic, start_s, end_s), start_s,
+                window_s, n_buckets)
             for i, value in enumerate(bucketed):
                 if value is not None:
                     total[i] += value

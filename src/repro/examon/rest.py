@@ -22,6 +22,13 @@ class ExamonRestAPI:
     def __init__(self, db: TimeSeriesDB) -> None:
         self.db = db
         self.requests_served = 0
+        self._handlers = {
+            "/api/topics": self._topics,
+            "/api/query": self._query,
+            "/api/aggregate": self._aggregate,
+            "/api/rate": self._rate,
+            "/api/latest": self._latest,
+        }
 
     def get(self, endpoint: str, params: Optional[Dict[str, Any]] = None) -> Any:
         """Dispatch a request path to its handler.
@@ -29,18 +36,11 @@ class ExamonRestAPI:
         Supported endpoints: ``/api/topics``, ``/api/query``,
         ``/api/aggregate``, ``/api/rate``, ``/api/latest``.
         """
-        params = params or {}
-        handlers = {
-            "/api/topics": self._topics,
-            "/api/query": self._query,
-            "/api/aggregate": self._aggregate,
-            "/api/rate": self._rate,
-            "/api/latest": self._latest,
-        }
-        if endpoint not in handlers:
+        handler = self._handlers.get(endpoint)
+        if handler is None:
             raise KeyError(f"404: no endpoint {endpoint!r}")
         self.requests_served += 1
-        return handlers[endpoint](params)
+        return handler(params or {})
 
     # -- handlers -----------------------------------------------------------
     def _topics(self, params: Dict[str, Any]) -> List[str]:

@@ -10,7 +10,9 @@ the Grafana-style dashboards and the batch REST API of §IV-B.
 from __future__ import annotations
 
 import bisect
+import operator
 from array import array
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.examon.broker import MQTTBroker, MQTTMessage
@@ -97,9 +99,14 @@ class TimeSeriesDB:
                 times.append(timestamp_s)
         self.points_stored += 1
 
-    def _range(self, topic: str, start_s: float,
-               end_s: float) -> Tuple[array, array]:
-        """The timestamp and value columns of one series inside [start, end]."""
+    # -- queries ------------------------------------------------------------
+    def columns(self, topic: str, start_s: float = float("-inf"),
+                end_s: float = float("inf")) -> Tuple[array, array]:
+        """The timestamp and value columns of one series inside [start, end].
+
+        Both are copies, so the caller may keep them; the timestamps are
+        sorted, which lets readers bisect them.
+        """
         columns = self._series.get(topic)
         if columns is None:
             return array("d"), array("d")
@@ -108,7 +115,6 @@ class TimeSeriesDB:
         hi = bisect.bisect_right(times, end_s, lo)
         return times[lo:hi], values[lo:hi]
 
-    # -- queries ------------------------------------------------------------
     def topics(self, pattern: str = "#") -> List[str]:
         """Stored topics matching an MQTT pattern."""
         return sorted(  # simlint: disable=PERF303  (query endpoint, not on the insert path)
@@ -117,8 +123,7 @@ class TimeSeriesDB:
     def query(self, topic: str, start_s: float = float("-inf"),
               end_s: float = float("inf")) -> List[SeriesPoint]:
         """Raw points of one series inside [start, end]."""
-        times, values = self._range(topic, start_s, end_s)
-        return list(zip(times, values))
+        return list(zip(*self.columns(topic, start_s, end_s)))
 
     def latest(self, topic: str) -> Optional[SeriesPoint]:
         """Most recent point of a series, or None."""
@@ -178,16 +183,37 @@ class TimeSeriesDB:
              end_s: float = float("inf")) -> List[SeriesPoint]:
         """First-difference rate of a (monotone) counter series, per second.
 
-        This is how the dashboards turn the INSTRET counter into the
-        instructions/s heatmap of Fig. 5.  Counter resets (value drops,
-        e.g. a node reboot) yield a zero-rate point rather than a negative
-        spike.
+        The ``(t, rate)`` points of :meth:`rate_columns`, for the REST API.
         """
-        times, values = self._range(topic, start_s, end_s)
-        out: List[SeriesPoint] = []
-        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]):
-            dt = t1 - t0
-            if dt <= 0:
-                continue
-            out.append((t1, max(v1 - v0, 0.0) / dt))
-        return out
+        return list(zip(*self.rate_columns(topic, start_s, end_s)))
+
+    def rate_columns(self, topic: str, start_s: float = float("-inf"),
+                     end_s: float = float("inf")) -> Tuple[array, List[float]]:
+        """First-difference rate of a counter series, as ``(times, rates)``.
+
+        This is how the dashboards turn the INSTRET counter into the
+        instructions/s heatmap of Fig. 5.  Each pair of consecutive points
+        in [start, end] gives the rate ``max(v1 - v0, 0.0) / (t1 - t0)``
+        at ``t1``: a counter reset (value drop, e.g. a node reboot) yields
+        a zero rate rather than a negative spike, and a pair with
+        ``t1 - t0 <= 0`` (equal timestamps) is skipped.
+
+        The differences are taken column-wise by ``map(operator.sub, ...)``
+        and the rule's two exceptions are looked for before they are
+        applied, so a series without equal timestamps or resets costs no
+        per-point Python code.  ``times`` is sorted, like the store.
+        """
+        times, values = self.columns(topic, start_s, end_s)
+        ends = times[1:]
+        dts = list(map(operator.sub, ends, times))
+        dvs = list(map(operator.sub, values[1:], values))
+        # ``min`` only picks the fast path when it is exact: a NaN it
+        # returns fails both tests, and one it skips needs no exception.
+        if dts and not min(dts) > 0:
+            kept = [not dt <= 0 for dt in dts]
+            ends = array("d", compress(ends, kept))
+            dts = list(compress(dts, kept))
+            dvs = list(compress(dvs, kept))
+        if dvs and not min(dvs) >= 0.0:
+            dvs = list(map(max, dvs, repeat(0.0)))
+        return ends, list(map(operator.truediv, dvs, dts))

@@ -3,7 +3,7 @@
 import bisect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.examon.broker import MQTTBroker
@@ -220,14 +220,47 @@ class TestInsertOrderingConsistency:
                                       (5.0, 100.0)]
 
 
+# -- frozen per-point read path ---------------------------------------------
+# Verbatim copies of the tuple loops that ``TimeSeriesDB.rate`` and the
+# dashboard's bucketing ran before they were rebuilt over the store's
+# columns.  The columnar code must reproduce them bit for bit (compared by
+# ``repr``, so ``-0.0`` and one-ulp differences count) on every input.
+
 def _reference_rate(points):
-    """First-difference rate over a sorted point list, as the store does it."""
+    """First-difference rate over a sorted point list (the old loop)."""
     out = []
     for (t0, v0), (t1, v1) in zip(points, points[1:]):
         dt = t1 - t0
-        if dt > 0:
-            out.append((t1, max(v1 - v0, 0.0) / dt))
+        if dt <= 0:
+            continue
+        out.append((t1, max(v1 - v0, 0.0) / dt))
     return out
+
+
+def _reference_bucketise(points, start_s, window_s, n_buckets):
+    """Per-bucket means of ``(t, v)`` points (the old per-point scan)."""
+    buckets = [[] for _ in range(n_buckets)]
+    for t, v in points:
+        index = int((t - start_s) / window_s)
+        if 0 <= index < n_buckets:
+            buckets[index].append(v)
+    return [sum(b) / len(b) if b else None for b in buckets]
+
+
+def _reference_sum_of_rates(db, topics, start_s, end_s, window_s,
+                            n_buckets):
+    """Per-bucket sum of the topics' bucketed rates, in topic order."""
+    total = [0.0] * n_buckets
+    seen = [False] * n_buckets
+    for topic in topics:
+        bucketed = _reference_bucketise(
+            _reference_rate(db.query(topic, start_s, end_s)), start_s,
+            window_s, n_buckets)
+        for i, value in enumerate(bucketed):
+            if value is not None:
+                total[i] += value
+                seen[i] = True
+    return [total[i] if seen[i] else None for i in range(n_buckets)]
 
 
 #: Few distinct timestamps and values, so duplicates and ties are common.
@@ -297,6 +330,104 @@ class TestColumnOrderProperty:
         assert db.latest("unknown") is None
         assert db.aggregate("unknown", 0.0, 10.0, 1.0) == []
         assert db.rate("unknown") == []
+
+
+#: Sorted series with equal timestamps (a quarter-second grid), arbitrary
+#: ones, both zeros, counter resets (values fall as often as they rise)
+#: and magnitudes whose sums depend on the summation rule.
+_TIMES = st.one_of(st.integers(-8, 48).map(lambda i: i * 0.25),
+                   st.floats(-3.0, 13.0, allow_nan=False))
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5, -3.0, 7.0, 1e16, -1e16])
+_SERIES = st.lists(st.tuples(_TIMES, _VALUES), max_size=24).map(sorted)
+#: ``(start, span, window)``: windows that need not divide the span, and
+#: ranges that leave points on both sides outside.
+_RANGES = st.tuples(st.integers(-4, 20).map(lambda i: i * 0.25),
+                    st.sampled_from([0.5, 1.0, 2.3, 4.0, 7.7]),
+                    st.sampled_from([0.3, 0.5, 1.0, 2.5, 10.0]))
+
+
+def _db_of(series_by_topic):
+    db = TimeSeriesDB()
+    for topic, series in series_by_topic.items():
+        for t, v in series:
+            db.insert(topic, t, v)
+    return db
+
+
+class TestColumnarReadPath:
+    """``rate``, ``rate_columns`` and the heatmaps equal the frozen loops."""
+
+    @given(series=_SERIES, ranges=_RANGES)
+    @example(series=[(0.0, 0.0), (1.0, -0.0), (2.0, -3.0), (2.0, 5.0),
+                     (3.0, 5.0)], ranges=(0.0, 4.0, 1.0))
+    @example(series=[], ranges=(0.0, 1.0, 0.3))
+    @example(series=[(0.5, 1.0)], ranges=(0.0, 1.0, 0.3))
+    @settings(max_examples=200, deadline=None)
+    def test_rate_matches_frozen_loop(self, series, ranges):
+        db = _db_of({"c": series})
+        start_s, span_s, _window_s = ranges
+        for lo, hi in ((float("-inf"), float("inf")),
+                       (start_s, start_s + span_s)):
+            expected = _reference_rate(db.query("c", lo, hi))
+            assert repr(db.rate("c", lo, hi)) == repr(expected)
+            times, rates = db.rate_columns("c", lo, hi)
+            assert repr((list(times), rates)) == repr(
+                ([t for t, _r in expected], [r for _t, r in expected]))
+
+    @given(series=_SERIES, ranges=_RANGES)
+    @example(series=[(-0.2, 5.0), (0.0, 1e16), (0.1, 1.0), (0.2, -1e16)],
+             ranges=(0.0, 1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_means_match_frozen_scan(self, series, ranges):
+        # The whole series, so points before the range exercise int()'s
+        # truncation toward zero and points past it the upper bound.
+        # The example's bucket sums differently under a running float
+        # accumulator than under Python 3.12's compensated builtin sum().
+        db = _db_of({"c": series})
+        start_s, span_s, window_s = ranges
+        n_buckets = len(Dashboard._bucket_times(start_s, start_s + span_s,
+                                                window_s))
+        times, values = db.columns("c")
+        assert repr(Dashboard._bucket_means(
+            times, values, start_s, window_s, n_buckets)) == repr(
+            _reference_bucketise(db.query("c"), start_s, window_s, n_buckets))
+
+    @given(series=st.lists(_SERIES, min_size=12, max_size=12),
+           ranges=_RANGES)
+    @example(series=[[(0.0, 0.0), (1.0, 1e16)], [(0.0, 0.0), (1.0, 1.0)],
+                     [(0.0, 0.0), (1.0, 1.0)]] + [[]] * 9,
+             ranges=(0.0, 4.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_heatmap_rows_match_frozen_loops(self, series, ranges):
+        schema = TopicSchema()
+        hosts = ["mc-node-1", "mc-node-2"]
+        # Three cores, so the order the per-core means are added in shows
+        # (the example sums to 1e16 in topic order, not in reverse).
+        pmu = {host: [schema.pmu_topic(host, core, "instructions")
+                      for core in range(3)] for host in hosts}
+        net = {host: [schema.stats_topic(host, f"net_total.{direction}")
+                      for direction in ("recv", "send")] for host in hosts}
+        memory = {host: schema.stats_topic(host, "memory_usage.used")
+                  for host in hosts}
+        topics = [topic for host in hosts
+                  for topic in (*pmu[host], *net[host], memory[host])]
+        db = _db_of(dict(zip(topics, series)))
+        dashboard = Dashboard(db, hosts, schema=schema, n_cores=3)
+        start_s, span_s, window_s = ranges
+        end_s = start_s + span_s
+        n = len(Dashboard._bucket_times(start_s, end_s, window_s))
+        expected = {
+            "instructions_heatmap": {host: _reference_sum_of_rates(
+                db, pmu[host], start_s, end_s, window_s, n) for host in hosts},
+            "network_heatmap": {host: _reference_sum_of_rates(
+                db, net[host], start_s, end_s, window_s, n) for host in hosts},
+            "memory_heatmap": {host: _reference_bucketise(
+                db.query(memory[host], start_s, end_s), start_s, window_s, n)
+                for host in hosts},
+        }
+        for view, rows in expected.items():
+            heatmap = getattr(dashboard, view)(start_s, end_s, window_s)
+            assert repr(heatmap.rows) == repr(rows), view
 
 
 class TestRestAPI:
