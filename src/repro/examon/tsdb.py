@@ -207,8 +207,8 @@ class TimeSeriesDB:
         ends = times[1:]
         dts = list(map(operator.sub, ends, times))
         dvs = list(map(operator.sub, values[1:], values))
-        # ``min`` only picks the fast path when it is exact: a NaN it
-        # returns fails both tests, and one it skips needs no exception.
+        # A NaN difference needs neither exception; when ``min`` returns
+        # one, the test fails and the exact path below runs anyway.
         if dts and not min(dts) > 0:
             kept = [not dt <= 0 for dt in dts]
             ends = array("d", compress(ends, kept))
