@@ -17,14 +17,25 @@ its ``repr``, so a one-ulp change anywhere shows up.
   its next live sample, so these inserts arrive in order (the
   out-of-order path is pinned by the property tests in
   ``test_examon_storage.py``).
+* The wire itself: every ``topic|payload`` a tap subscribed to ``#``
+  receives during 120 s of 8-node HPL on the mitigated enclosure, in
+  delivery order, and the broker's byte and message counts.  Store
+  digests cannot see a change of payload text that decodes alike
+  (``"1.0"`` and ``"1"``); this one can.
 """
 
 import pytest
 
 from repro.analysis.experiments import fig5_store
 from repro.chaos.scenarios import run_scenario
+from repro.cluster.cluster import MonteCimoneCluster
+from repro.examon.deployment import ExamonDeployment
 from repro.examon.grafana import (build_cluster_dashboard,
                                   build_thermal_dashboard)
+from repro.examon.payload import decode_payload
+from repro.power.model import HPL_PROFILE
+from repro.slurm.api import SlurmAPI
+from repro.thermal.enclosure import EnclosureConfig
 from tests.golden import digest, store_digest
 
 FIG5_DIGESTS = {
@@ -118,3 +129,48 @@ def test_examon_outage_store_digest():
     assert result.extras["publish_rejects"] > 0
     assert result.extras["samples_backfilled"] > 0
     assert store_digest(db) == OUTAGE_DIGEST
+
+
+#: Digest of every ``topic|payload`` delivered during the wire run, and
+#: the broker and store counts of that run.
+WIRE_DIGEST = (
+    "4b9ad07cd6eb07ad27670396f42a4982f7f36bbf75dcc9be6a2d32463c9d2f6b")
+WIRE_COUNTS = {"bytes_published": 4_511_067, "messages_published": 44_000,
+               "points_stored": 44_000}
+
+
+@pytest.fixture(scope="module")
+def wire_run():
+    """120 s of 8-node HPL under ExaMon, with a tap on ``#``."""
+    cluster = MonteCimoneCluster(enclosure_config=EnclosureConfig.mitigated())
+    cluster.boot_all()
+    deployment = ExamonDeployment(cluster)
+    delivered = []
+    deployment.broker.subscribe(
+        "wire-tap", "#",
+        lambda message: delivered.append(f"{message.topic}|{message.payload}"))
+    deployment.start()
+    SlurmAPI(cluster.slurm).srun("hpl", "wire", nodes=8, duration_s=120.0,
+                                 profile=HPL_PROFILE)
+    return deployment, delivered
+
+
+def test_wire_digest(wire_run):
+    deployment, delivered = wire_run
+    broker, db = deployment.broker, deployment.db
+    counts = {"bytes_published": broker.bytes_published,
+              "messages_published": broker.messages_published,
+              "points_stored": db.points_stored}
+    assert len(delivered) == broker.messages_published
+    assert (counts, digest(delivered)) == (WIRE_COUNTS, WIRE_DIGEST)
+
+
+def test_retained_payloads_decode_to_latest_points(wire_run):
+    deployment, _delivered = wire_run
+    replayed = []
+    deployment.broker.subscribe("late-tap", "#", replayed.append)
+    assert replayed and all(message.retained for message in replayed)
+    assert [message.topic for message in replayed] == deployment.db.topics()
+    for message in replayed:
+        value, timestamp_s = decode_payload(message.payload)
+        assert deployment.db.latest(message.topic) == (timestamp_s, value)
