@@ -28,7 +28,7 @@ from a stale replay.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.examon.topics import topic_matches
 
@@ -62,9 +62,8 @@ class MQTTMessage(NamedTuple):
 class Subscription:
     """One client subscription: a pattern and its delivery callback.
 
-    Compared by identity, so unsubscribing one of two identical
-    subscriptions removes that one and keeps the other's place in the
-    delivery order.
+    Compared by identity: two identical subscriptions are two
+    deliveries, each in its own place in the delivery order.
     """
 
     client_id: str
@@ -80,11 +79,12 @@ class MQTTBroker:
         #: Live subscriptions in subscription order (the delivery order).
         self._subscriptions: List[Subscription] = []
         self._retained: Dict[str, MQTTMessage] = {}
-        #: Per-topic matching subscriptions, in subscription order.  Any
-        #: subscribe clears the cache wholesale — a
-        #: deployment's subscription set changes a handful of times per
+        #: Per-topic delivery callbacks of the matching subscriptions, in
+        #: subscription order.  Any subscribe clears the cache wholesale —
+        #: a deployment's subscription set changes a handful of times per
         #: run, its topic set never.
-        self._match_cache: Dict[str, List[Subscription]] = {}
+        self._match_cache: Dict[str, Tuple[Callable[[MQTTMessage], None],
+                                           ...]] = {}
         self.messages_published = 0
         self.messages_delivered = 0
         self.bytes_published = 0
@@ -143,10 +143,10 @@ class MQTTBroker:
         carry ``retained=False`` (MQTT 3.1.1: the retain flag marks store
         replays, not the publisher's retain request).
         """
-        subscriptions = self._match_cache.get(topic)
+        callbacks = self._match_cache.get(topic)
         # Only a cache miss can be a wildcard: wildcard topics raise here
         # and are never cached.
-        if subscriptions is None and ("+" in topic or "#" in topic):
+        if callbacks is None and ("+" in topic or "#" in topic):
             raise ValueError(f"cannot publish to a wildcard topic: {topic!r}")
         if not self.available:
             self.publish_rejects += 1
@@ -158,18 +158,16 @@ class MQTTBroker:
         self.bytes_published += len(topic) + len(payload)
         if retain:
             self._retained[topic] = message
-        if subscriptions is None:
-            # list.remove keeps the survivors' relative order, so the
-            # filter yields subscription order.
-            subscriptions = [s for s in self._subscriptions
-                             if topic_matches(s.pattern, topic)]
-            self._match_cache[topic] = subscriptions
+        if callbacks is None:
+            callbacks = tuple(s.callback for s in self._subscriptions
+                              if topic_matches(s.pattern, topic))
+            self._match_cache[topic] = callbacks
             self.match_cache_misses += 1
-        for subscription in subscriptions:
-            subscription.callback(message)
+        for callback in callbacks:
+            callback(message)
         # A callback that raises propagates past this count: a failed
         # delivery round counts no deliveries.
-        delivered = len(subscriptions)
+        delivered = len(callbacks)
         self.messages_delivered += delivered
         return delivered
 

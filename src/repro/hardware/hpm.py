@@ -44,7 +44,8 @@ class HPMUnit:
     counters accumulate only after :meth:`enable_programmable` — the
     behaviour of the stock U-Boot (counters off) versus the authors' patched
     U-Boot (counters on and programmed).  The owning core
-    (:meth:`repro.hardware.cores.U74Core.advance`) is the one writer.
+    (:meth:`repro.hardware.cores.U74Core.advance`) is the one writer;
+    :meth:`PerfEventsInterface.read` reads the programmable bank directly.
     """
 
     def __init__(self, core_id: int) -> None:
@@ -65,12 +66,6 @@ class HPMUnit:
         self._programmable_enabled = True
 
     # -- reads -------------------------------------------------------------
-    def read_event(self, name: str) -> int:
-        """Read a programmable event counter (zero while disabled)."""
-        if name not in self._events:
-            raise KeyError(f"unknown HPM event {name!r}")
-        return self._events[name]
-
     def snapshot(self) -> Dict[str, int]:
         """All counters as one mapping, as perf would enumerate them."""
         data = {"cycles": self.cycle, "instructions": self.instret}
@@ -110,13 +105,18 @@ class PerfEventsInterface:
 
         Fixed counters always read; programmable events read zero while the
         bank is disabled — the exact symptom the paper's U-Boot patch fixes.
+        An event outside :data:`FIXED_EVENTS` and
+        :data:`PROGRAMMABLE_EVENTS` raises ``KeyError``.
         """
         unit = self._units[core_id]
         if event == "cycles":
             return unit.cycle
         if event == "instructions":
             return unit.instret
-        return unit.read_event(event)
+        try:
+            return unit._events[event]
+        except KeyError:
+            raise KeyError(f"unknown HPM event {event!r}") from None
 
     def read_all(self, core_id: int) -> Mapping[str, int]:
         """Snapshot of every counter on one core."""

@@ -110,7 +110,7 @@ class TestWorkloadExecution:
         engine.run()
         assert job.state is JobState.COMPLETED
         assert node.state is NodeState.IDLE
-        assert sum(core.hpm.read_event("fp_ops")
+        assert sum(core.hpm.snapshot()["fp_ops"]
                    for core in node.board.cores) > 0
 
 

@@ -1,7 +1,10 @@
 """Tests for ExaMon transport: topics, payloads, broker."""
 
+from math import isfinite
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.examon.broker import MQTTBroker
@@ -131,6 +134,140 @@ class TestPayload:
         decoded_value, decoded_ts = decode_payload(encode_payload(value, ts))
         assert decoded_value == value
         assert decoded_ts == ts
+
+
+def reference_encode_payload(value, timestamp_s):
+    """``encode_payload`` before its timestamp memo, verbatim."""
+    if not (isinstance(value, float)
+            or (isinstance(value, int) and not isinstance(value, bool))):
+        raise TypeError(f"value must be numeric, got {type(value).__name__}")
+    return f"{value};{timestamp_s}"
+
+
+def reference_decode_payload(payload):
+    """``decode_payload`` verbatim: what a decode-side memo must match."""
+    value_text, separator, ts_text = payload.partition(";")
+    if not separator:
+        raise ValueError(f"payload missing ';' separator: {payload!r}")
+    try:
+        value = float(value_text)
+        timestamp_s = float(ts_text)
+    except ValueError as exc:
+        raise ValueError(f"non-numeric payload: {payload!r}") from exc
+    if not (isfinite(value) and isfinite(timestamp_s)):
+        raise ValueError(f"non-finite payload: {payload!r}")
+    return value, timestamp_s
+
+
+class LoudFloat(float):
+    """A float subclass whose ``repr`` is not its text."""
+
+    def __str__(self):
+        return float.__repr__(self)
+
+    def __repr__(self):
+        return f"LoudFloat({float.__repr__(self)})"
+
+
+def outcome(call, *args):
+    """A call's result by ``repr`` (so ``-0.0`` differs from ``0.0``),
+    or the class and message of what it raised."""
+    try:
+        return "ok", repr(call(*args))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def equal_copy(number):
+    """A number equal to ``number`` of the same type, and a new object
+    wherever the interpreter does not share one (small ints)."""
+    return type(number)(str(number))
+
+
+#: The numbers a value or a timestamp is drawn from: ``±0.0`` and ``0``
+#: and ``1``/``1.0`` are equal with different texts; huge and tiny floats
+#: take exponent notation; ``np.float64`` and ``LoudFloat`` are float
+#: subclasses whose ``repr`` is not their text.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, 21.0, 1e16, 1e22, 1e-5, 5e-324,
+                     1.7976931348623157e308, -2.5e-310]),
+    st.floats(), st.integers(),
+    st.floats().map(LoudFloat), st.floats().map(np.float64))
+VALUES = st.one_of(NUMBERS, st.booleans(), st.text(max_size=3), st.none())
+#: Field texts for hand-made payloads: malformed, non-numeric, non-finite
+#: and a few that ``float`` accepts although no encoder writes them.
+FIELDS = st.sampled_from(["abc", "", "nan", "inf", "-inf", "1e999", "1.0",
+                          " 2.5", "1_0", "0x1", "-0.0"])
+#: ``("encode", value, timestamp slot, pass an equal copy)`` or
+#: ``("decode", payload kind, field)``.
+CALLS = st.lists(st.one_of(
+    st.tuples(st.just("encode"), VALUES, st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("decode"),
+              st.sampled_from(["last", "value", "timestamp", "bare"]),
+              FIELDS)), min_size=1, max_size=40)
+
+
+class TestCodecMemos:
+    """The codec against its stateless reference, over call sequences.
+
+    ``encode_payload`` memoises the last timestamp text across calls, so
+    each example is a sequence of interleaved encodes and decodes.  An
+    encode passes one of a few timestamp objects, or an equal copy of one,
+    so the memo sees both reuse and equal-but-distinct objects.  A decode
+    reads the last encoded payload, or a hand-made payload that repeats
+    its timestamp text with a bad value, or a bad timestamp, or no
+    separator: the sequences a decode-side timestamp memo would have to
+    get right.  Every call must give the reference's result, or raise the
+    reference's exception class with its message.
+    """
+
+    @given(timestamps=st.lists(NUMBERS, min_size=1, max_size=4),
+           calls=CALLS)
+    @settings(max_examples=300, deadline=None)
+    @example(timestamps=[0.0, -0.0],
+             calls=[("encode", 1.0, 0, False), ("encode", 1.0, 1, False)])
+    @example(timestamps=[1, 1.0],
+             calls=[("encode", 2, 0, False), ("encode", 2, 1, False)])
+    @example(timestamps=[5.0],
+             calls=[("encode", 1.0, 0, False), ("decode", "last", ""),
+                    ("decode", "value", "nan"), ("decode", "value", "abc"),
+                    ("decode", "value", "inf"), ("decode", "last", "")])
+    @example(timestamps=[5.0],
+             calls=[("decode", "timestamp", "inf"),
+                    ("decode", "timestamp", "inf"),
+                    ("decode", "timestamp", "nan"),
+                    ("decode", "timestamp", "nan")])
+    def test_interleaved_calls_match_reference(self, timestamps, calls):
+        last = "0.0;0.0"
+        for call in calls:
+            if call[0] == "encode":
+                _kind, value, slot, copy = call
+                timestamp_s = timestamps[slot % len(timestamps)]
+                if copy:
+                    timestamp_s = equal_copy(timestamp_s)
+                got = outcome(encode_payload, value, timestamp_s)
+                assert got == outcome(reference_encode_payload, value,
+                                      timestamp_s)
+                if got[0] == "ok":
+                    last = encode_payload(value, timestamp_s)
+                continue
+            _kind, shape, field = call
+            payload = {"last": last,
+                       "value": f"{field};{last.partition(';')[2]}",
+                       "timestamp": f"1.0;{field}",
+                       "bare": field}[shape]
+            assert outcome(decode_payload, payload) == outcome(
+                reference_decode_payload, payload)
+
+    def test_equal_timestamps_keep_their_own_text(self):
+        assert encode_payload(1.0, 0.0) == "1.0;0.0"
+        assert encode_payload(1.0, -0.0) == "1.0;-0.0"
+        assert encode_payload(1.0, 7) == "1.0;7"
+        assert encode_payload(1.0, 7.0) == "1.0;7.0"
+
+    def test_float_subclasses_keep_their_text(self):
+        assert encode_payload(LoudFloat(1.5), 2.0) == "1.5;2.0"
+        assert encode_payload(np.float64(0.1), 2.0) == "0.1;2.0"
 
 
 class TestBroker:

@@ -43,18 +43,18 @@ class TestHPMUnit:
         assert not unit.programmable_enabled
         core.advance(WORK)
         assert work_counts(core)[2] > 0
-        assert unit.read_event("fp_ops") == 0
+        assert unit.snapshot()["fp_ops"] == 0
 
     def test_uboot_patch_enables_counting(self):
         core = clocked_core()
         core.hpm.enable_programmable()
         core.advance(WORK)
-        assert core.hpm.read_event("fp_ops") == work_counts(core)[2] > 0
+        assert core.hpm.snapshot()["fp_ops"] == work_counts(core)[2] > 0
 
     def test_unknown_event_rejected(self):
-        unit = HPMUnit(core_id=0)
-        with pytest.raises(KeyError):
-            unit.read_event("no_such_event")
+        iface = PerfEventsInterface([HPMUnit(core_id=0)])
+        with pytest.raises(KeyError, match="unknown HPM event 'no_such_event'"):
+            iface.read(0, "no_such_event")
 
     def test_core_advance_is_one_slice_of_work(self):
         core = clocked_core()
@@ -68,8 +68,8 @@ class TestHPMUnit:
         unit.enable_programmable()
         core.advance(WORK)
         assert (unit.cycle, unit.instret) == (2 * cycles, 2 * instructions)
-        assert [unit.read_event(e) for e in ("fp_ops", "l2_miss",
-                                             "load_store")] == [
+        snap = unit.snapshot()
+        assert [snap[e] for e in ("fp_ops", "l2_miss", "load_store")] == [
             fp_ops, l2_miss, load_store]
 
     def test_snapshot_contains_everything(self):
