@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper and asserts
-its shape against the paper's reported values (see DESIGN.md §3 for the
-experiment index).  Full-cluster simulations run once per session through
-the fixtures below; pytest-benchmark then times the cheap regeneration
-paths and the numeric kernels.
+``test_paper_claims.py`` checks every paper number against its bound in
+the claims ledger (``repro.analysis.validate.CLAIMS``); the other files
+check each table's and figure's shape (orderings, curves, digests; see
+DESIGN.md §3 for the experiment index).  Full-cluster simulations run once
+per session through the fixtures below; pytest-benchmark then times the
+cheap regeneration paths and the numeric kernels.
 """
 
 import pytest

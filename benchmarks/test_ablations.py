@@ -21,6 +21,7 @@ from repro.hardware.specs import DDR_SPEC, MIB
 from repro.network.topology import ClusterTopology
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
 from repro.thermal.model import NodeThermalModel
+from repro.thermal.runaway import TRIP_CELSIUS
 
 
 def test_ablation_prefetcher_closes_the_stream_gap(benchmark):
@@ -101,7 +102,7 @@ def test_ablation_enclosure_sweep(benchmark):
         steady = 25.0 + hpl_power * resistance + (
             4.0 if name == "original" else 0.0)
         if name == "original":
-            assert steady > 107.0
+            assert steady > TRIP_CELSIUS
         else:
             assert steady < 60.0
 
@@ -112,4 +113,4 @@ def test_ablation_spacing_only_is_not_enough(benchmark):
 
     steady = benchmark(
         lambda: NodeThermalModel(spaced, slot=4).steady_state_soc_c(5.935))
-    assert steady > 107.0
+    assert steady > TRIP_CELSIUS

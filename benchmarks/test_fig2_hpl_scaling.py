@@ -1,24 +1,11 @@
 """Fig. 2: HPL strong scaling on 1-8 nodes over the 1 GbE network.
 
-Shape checks: who wins (more nodes), by what factor (85% of linear at 8
-nodes), and where the efficiency falls (39.5% of machine peak).
+Shape checks: more nodes always win, by less than linear.  The paper's
+anchor points (GFLOP/s, fractions of peak and of linear, runtimes) are
+claims in the ledger (``test_paper_claims.py``).
 """
 
-import pytest
-
 from repro.analysis.experiments import fig2_hpl_scaling
-
-
-def test_fig2_strong_scaling(benchmark):
-    scaling = benchmark(fig2_hpl_scaling)
-    single, full = scaling.point(1), scaling.point(8)
-    # Paper labels: 1.86 GFLOP/s and 12.65 ± 0.52 GFLOP/s.
-    assert single.gflops == pytest.approx(1.86, abs=0.04)
-    assert full.gflops == pytest.approx(12.65, abs=0.52)
-    # 39.5% of the entire machine's theoretical peak.
-    assert full.fraction_of_peak == pytest.approx(0.395, abs=0.01)
-    # 85% of the extrapolated perfect-linear-scaling peak.
-    assert full.fraction_of_linear == pytest.approx(0.85, abs=0.03)
 
 
 def test_fig2_speedup_curve_is_concave(benchmark):
@@ -37,4 +24,3 @@ def test_fig2_runtime_shrinks_with_nodes(benchmark):
     scaling = benchmark(fig2_hpl_scaling)
     runtimes = [p.runtime_s for p in scaling.points]
     assert runtimes == sorted(runtimes, reverse=True)
-    assert scaling.point(8).runtime_s == pytest.approx(3548, rel=0.03)

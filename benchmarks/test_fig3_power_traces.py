@@ -1,20 +1,13 @@
-"""Fig. 3: 8-second power traces per benchmark, 1 ms averaging windows."""
+"""Fig. 3: 8-second power traces per benchmark, 1 ms averaging windows.
+
+The panel means that track Table VI are claims in the ledger
+(``test_paper_claims.py``).
+"""
 
 import pytest
 
 from repro.analysis.experiments import fig3_power_traces
 from repro.power.traces import TraceSynthesizer
-
-
-def test_fig3_trace_means_match_table_vi(benchmark):
-    traces = benchmark(fig3_power_traces, 8.0)
-    # Core-panel means track the Table VI core column (watts).
-    assert traces["hpl"]["core"]["mean_w"] == pytest.approx(4.097, abs=0.12)
-    assert traces["stream_l2"]["core"]["mean_w"] == pytest.approx(3.714,
-                                                                  abs=0.12)
-    assert traces["stream_ddr"]["core"]["mean_w"] == pytest.approx(3.287,
-                                                                   abs=0.12)
-    assert traces["qe"]["core"]["mean_w"] == pytest.approx(3.825, abs=0.12)
 
 
 def test_fig3_ddr_panel_ranks_stream_ddr_highest(benchmark):

@@ -1,26 +1,13 @@
-"""Fig. 4: boot power trace and the leakage/dynamic/OS decomposition."""
+"""Fig. 4: the boot power trace.
+
+The region averages and the leakage/dynamic/OS decomposition are claims in
+the ledger (``test_paper_claims.py``).
+"""
 
 import pytest
 
 from repro.analysis.experiments import fig4_boot_power
 from repro.power.traces import TraceSynthesizer
-
-
-def test_fig4_region_averages(benchmark):
-    boot = benchmark(fig4_boot_power)
-    # §V-B quantities.
-    assert boot["r1_core_w"] == pytest.approx(0.984, abs=0.01)
-    assert boot["r2_core_w"] == pytest.approx(2.561, abs=0.01)
-    assert boot["r3_core_w"] == pytest.approx(3.082, abs=0.02)
-    assert boot["ddr_mem_r1_w"] == pytest.approx(0.275, abs=0.005)
-
-
-def test_fig4_decomposition_percentages(benchmark):
-    boot = benchmark(fig4_boot_power)
-    # Leakage 32%, dynamic+clock 51%, OS 17% of idle core power.
-    assert boot["leakage_fraction"] == pytest.approx(0.32, abs=0.01)
-    assert boot["dynamic_clock_fraction"] == pytest.approx(0.51, abs=0.01)
-    assert boot["os_fraction"] == pytest.approx(0.17, abs=0.01)
 
 
 def test_fig4_80_second_trace_staircase(benchmark):
@@ -34,4 +21,6 @@ def test_fig4_80_second_trace_staircase(benchmark):
     off, r1 = mean_between(0, 4), mean_between(5, 10)
     r2, r3 = mean_between(11, 25), mean_between(45, 80)
     assert off < r1 < r2 < r3
-    assert r1 == pytest.approx(0.984, abs=0.05)
+    # The noisy R1 plateau stays within 0.04 W of the region average it is
+    # drawn around (whose distance from the paper is a ledger claim).
+    assert r1 == pytest.approx(fig4_boot_power()["r1_core_w"], abs=0.04)

@@ -1,20 +1,11 @@
-"""§V-A single-node HPL: 1.86 ± 0.04 GFLOP/s = 46.5% of peak.
+"""§V-A single-node HPL and the three-machine comparison row.
 
-Also reproduces the three-machine comparison row (Monte Cimone 46.5%,
-Marconi100 59.7%, Armida 65.79%).
+The paper's numbers (1.86 GFLOP/s, 46.5% of peak, the Marconi100 and
+Armida fractions) are claims in the ledger (``test_paper_claims.py``).
 """
 
-import pytest
-
 from repro.analysis.experiments import comparison_table
-from repro.benchmarks.hpl import HPLConfig, HPLModel
-
-
-def test_single_node_hpl(benchmark):
-    result = benchmark(HPLModel().run)
-    assert result.gflops.mean == pytest.approx(1.86, abs=0.04)
-    assert result.efficiency == pytest.approx(0.465, abs=0.002)
-    assert result.runtime_s.mean == pytest.approx(24105, rel=0.03)
+from repro.benchmarks.hpl import HPLConfig
 
 
 def test_hpl_memory_sizing(benchmark):
@@ -26,10 +17,6 @@ def test_hpl_memory_sizing(benchmark):
 
 def test_machine_comparison(benchmark):
     rows = benchmark(comparison_table)
-    by_machine = {machine: (hpl, stream)
-                  for machine, hpl, _hp, stream, _sp in rows}
-    assert by_machine["montecimone"][0] == pytest.approx(0.465, abs=0.005)
-    assert by_machine["marconi100power9"][0] == pytest.approx(0.597, abs=0.005)
-    assert by_machine["armidathunderx2"][0] == pytest.approx(0.6579, abs=0.005)
+    hpl = {machine: fraction for machine, fraction, *_rest in rows}
     # Monte Cimone is "slightly lower ... but in the range" (§V-A).
-    assert by_machine["montecimone"][0] > 0.7 * by_machine["armidathunderx2"][0]
+    assert hpl["montecimone"] > 0.7 * hpl["armidathunderx2"]

@@ -1,20 +1,11 @@
-"""§III: the Infiniband FDR bring-up status snapshot."""
+"""§III: the Infiniband FDR bring-up.
 
-import pytest
+The status snapshot (HCA up, ibping working, RDMA not) is a set of claims
+in the ledger (``test_paper_claims.py``).
+"""
 
-from repro.analysis.experiments import infiniband_status
 from repro.hardware.nic import RDMAUnsupportedError
 from repro.network.infiniband import InfinibandFabric
-
-
-def test_infiniband_paper_snapshot(benchmark):
-    status = benchmark(infiniband_status)
-    assert status.device_recognised
-    assert status.driver_loaded
-    assert status.ofed_mounted
-    assert status.board_to_board_ping
-    assert status.board_to_server_ping
-    assert not status.rdma_functional
 
 
 def test_infiniband_rdma_error_message_cites_future_work(benchmark):

@@ -1,27 +1,15 @@
-"""§V-A STREAM efficiency comparison: MC 15.5% vs M100 48.2% vs Armida 63.21%."""
+"""§V-A STREAM efficiency comparison: MC 15.5% vs M100 48.2% vs Armida 63.21%.
 
-import pytest
+The per-machine fractions are claims in the ledger
+(``test_paper_claims.py``).
+"""
 
-from repro.benchmarks.stream import StreamConfig, StreamModel
-from repro.hardware.specs import ARMIDA_NODE, MARCONI100_NODE, MONTE_CIMONE_NODE
-
-
-@pytest.mark.parametrize("node,expected", [
-    (MONTE_CIMONE_NODE, 0.155),
-    (MARCONI100_NODE, 0.482),
-    (ARMIDA_NODE, 0.6321),
-], ids=["montecimone", "marconi100", "armida"])
-def test_stream_efficiency_per_machine(benchmark, node, expected):
-    model = StreamModel(node=node)
-    result = benchmark(model.run, StreamConfig(array_mib=1945.5))
-    assert result.best_fraction_of_peak == pytest.approx(expected, abs=0.005)
+from repro.analysis.experiments import stream_fractions
 
 
 def test_monte_cimone_below_lower_quartile(benchmark):
     """§V-A: the comparison suggests 'a result higher than the lower
     quartile should be easily attained' — i.e. MC is the outlier."""
-    fractions = benchmark(lambda: [
-        StreamModel(node=node).run(
-            StreamConfig(array_mib=1945.5)).best_fraction_of_peak
-        for node in (MONTE_CIMONE_NODE, MARCONI100_NODE, ARMIDA_NODE)])
-    assert fractions[0] < 0.5 * min(fractions[1:])
+    fractions = benchmark(stream_fractions)
+    others = [f for machine, f in fractions.items() if machine != "montecimone"]
+    assert fractions["montecimone"] < 0.5 * min(others)

@@ -1,18 +1,10 @@
 """Table I: deploy the user-facing software stack via the Spack model.
 
-Regenerates the package/version table and checks it against the paper's
-Table I verbatim.
+Each package's version against the paper's Table I is a claim in the
+ledger (``test_paper_claims.py``).
 """
 
-from repro.analysis.experiments import table1_software_stack
 from repro.analysis.paper import TABLE_I_STACK
-
-
-def test_table1_stack_regenerates(benchmark):
-    rows = benchmark(table1_software_stack)
-    assert {name: installed for name, installed, _p, _m in rows} == \
-        TABLE_I_STACK
-    assert all(match for _n, _i, _p, match in rows)
 
 
 def test_table1_includes_transitive_dependencies(benchmark):

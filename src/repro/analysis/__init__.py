@@ -7,7 +7,9 @@
   (Tables I–VI, Figures 2–6, the §V-A comparison rows, the §III
   Infiniband status), each returning structured results;
 * :mod:`repro.analysis.report` — runs every driver and renders the
-  EXPERIMENTS.md paper-vs-measured report.
+  EXPERIMENTS.md paper-vs-measured report;
+* :mod:`repro.analysis.validate` — the claims ledger: every paper number
+  with its bound, judged by ``repro validate`` and the benchmark harness.
 """
 
 from repro.analysis.experiments import (

@@ -1,8 +1,9 @@
 """The paper's reported numbers, verbatim.
 
-Single source of truth for every assertion in the benchmark harness and
-every "paper" column in EXPERIMENTS.md.  Each constant cites the paper
-location it comes from.
+Each constant cites the paper location it comes from.  These are values
+only: the bound each one is checked to, and the driver that measures it,
+are declared once in :data:`repro.analysis.validate.CLAIMS`, which
+``repro validate``, the benchmark harness and the tier-1 tests all read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "POWER_SUMMARY",
     "BOOT_DECOMPOSITION",
     "THERMAL",
+    "INFINIBAND",
 ]
 
 #: Table I: the user-facing Spack stack.
@@ -77,6 +79,7 @@ POWER_SUMMARY = {
     "idle_core_share": 0.64,
     "idle_ddr_share": 0.13,   # ddr_soc+ddr_mem+ddr_pll+ddr_vpp ≈ 13%
     "idle_pci_share": 0.23,
+    "hpl_core_share": 0.69,
 }
 
 #: Fig. 4 / §V-B boot decomposition of core power.
@@ -99,4 +102,17 @@ THERMAL = {
     "runaway_node": "mc-node-7",
     "pre_mitigation_hot_c": 71.0,
     "post_mitigation_hot_c": 39.0,
+    "job_outcome": "NF",      # node 7 "stopped executing": SLURM NODE_FAIL
+    "retry_outcome": "CD",    # the mitigated rerun completed
+}
+
+#: §III Infiniband bring-up: the HCA is recognised and ibping works board
+#: to board and board to server, but RDMA is not functional yet.
+INFINIBAND = {
+    "device_recognised": True,
+    "driver_loaded": True,
+    "ofed_mounted": True,
+    "board_to_board_ping": True,
+    "board_to_server_ping": True,
+    "rdma_functional": False,
 }

@@ -74,10 +74,11 @@ def generate_experiments_report(full_sim_duration_s: float = 600.0) -> str:
     single = scaling.point(1)
     full = scaling.point(8)
     sections.append(
-        f"\nPaper anchors: single node {scaling.paper_single_gflops} GFLOP/s "
-        f"(measured {single.gflops:.2f}); 8 nodes {scaling.paper_full_gflops} "
-        f"GFLOP/s (measured {full.gflops:.2f}); fraction of linear "
-        f"{scaling.paper_fraction_of_linear * 100:.0f}% "
+        f"\nPaper anchors: single node {paper.HPL_SINGLE_NODE['gflops']} "
+        f"GFLOP/s (measured {single.gflops:.2f}); 8 nodes "
+        f"{paper.HPL_FULL_MACHINE['gflops']} GFLOP/s (measured "
+        f"{full.gflops:.2f}); fraction of linear "
+        f"{paper.HPL_FULL_MACHINE['fraction_of_linear'] * 100:.0f}% "
         f"(measured {full.fraction_of_linear * 100:.1f}%).\n")
 
     comparison = experiments.comparison_table()
@@ -231,11 +232,12 @@ def generate_experiments_report(full_sim_duration_s: float = 600.0) -> str:
     sections.append("```")
     sections.append(render_table(
         ["check", "measured", "paper"],
-        [("device recognised", status.device_recognised, True),
-         ("driver/OFED loaded", status.driver_loaded, True),
-         ("board-to-board ibping", status.board_to_board_ping, True),
-         ("board-to-server ibping", status.board_to_server_ping, True),
-         ("RDMA functional", status.rdma_functional, False)]))
+        [(label, getattr(status, key), paper.INFINIBAND[key])
+         for label, key in (("device recognised", "device_recognised"),
+                            ("driver/OFED loaded", "driver_loaded"),
+                            ("board-to-board ibping", "board_to_board_ping"),
+                            ("board-to-server ibping", "board_to_server_ping"),
+                            ("RDMA functional", "rdma_functional"))]))
     sections.append("```\n")
 
     return "\n".join(sections)

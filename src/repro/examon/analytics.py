@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.examon.topics import TopicSchema
 from repro.examon.tsdb import TimeSeriesDB
+from repro.thermal.runaway import TRIP_CELSIUS
 
 __all__ = ["Anomaly", "ZScoreDetector", "TrendDetector",
            "scan_cluster_temperatures"]
@@ -140,8 +141,8 @@ class TrendDetector:
 
 def scan_cluster_temperatures(db: TimeSeriesDB, hostnames: Sequence[str],
                               start_s: float, end_s: float,
-                              schema: Optional[TopicSchema] = None,
-                              trip_celsius: float = 107.0) -> List[Anomaly]:
+                              schema: Optional[TopicSchema] = None
+                              ) -> List[Anomaly]:
     """Run both detectors over the cluster's cpu_temp series.
 
     Returns the merged, time-ordered anomaly list — the programmatic
@@ -153,7 +154,7 @@ def scan_cluster_temperatures(db: TimeSeriesDB, hostnames: Sequence[str],
               for host in hostnames}
 
     anomalies: List[Anomaly] = []
-    trend = TrendDetector(threshold=trip_celsius)
+    trend = TrendDetector(threshold=TRIP_CELSIUS)
     for host, points in series.items():
         anomalies.extend(trend.scan(host, points))
 

@@ -18,6 +18,7 @@ import json
 from typing import Dict, List, Optional
 
 from repro.examon.topics import TopicSchema
+from repro.thermal.runaway import TRIP_CELSIUS, WARNING_CELSIUS
 
 __all__ = ["build_cluster_dashboard", "build_thermal_dashboard",
            "export_dashboard"]
@@ -83,9 +84,9 @@ def build_cluster_dashboard(hostnames: List[str],
 
 
 def build_thermal_dashboard(hostnames: List[str],
-                            schema: Optional[TopicSchema] = None,
-                            trip_celsius: float = 107.0) -> Dict:
-    """The Fig. 6 dashboard: per-node SoC temperatures with the trip line."""
+                            schema: Optional[TopicSchema] = None) -> Dict:
+    """The Fig. 6 dashboard: per-node SoC temperatures with the watchdog's
+    warning and trip lines."""
     schema = schema if schema is not None else TopicSchema()
     targets = [
         _query_target(f"T{i}",
@@ -97,8 +98,8 @@ def build_thermal_dashboard(hostnames: List[str],
             "unit": "celsius",
             "thresholds": {"mode": "absolute", "steps": [
                 {"color": "green", "value": None},
-                {"color": "orange", "value": 90.0},
-                {"color": "red", "value": trip_celsius},
+                {"color": "orange", "value": WARNING_CELSIUS},
+                {"color": "red", "value": TRIP_CELSIUS},
             ]},
         }
     }

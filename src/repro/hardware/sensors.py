@@ -44,13 +44,12 @@ HWMON_PATHS = {
 class ThermalSensor:
     """One temperature measurement point.
 
-    ``trip_celsius`` is the over-temperature trip: the paper's node 7
-    stopped executing at 107 °C during the first HPL runs (Fig. 6).
+    The over-temperature trip is the watchdog's decision
+    (:class:`repro.thermal.runaway.ThermalWatchdog`), not the sensor's.
     """
 
     name: str
     temperature_c: float = 25.0
-    trip_celsius: float = 107.0
     #: Fault-injection state: ``None`` (healthy), ``"dropout"`` (reads
     #: raise :class:`SensorReadError`) or ``"stuck"`` (the reading froze
     #: at the value it had when the fault landed; updates are ignored).
@@ -66,11 +65,6 @@ class ThermalSensor:
     def healthy(self) -> bool:
         """Whether the sensor currently has no injected fault."""
         return self.failure_mode is None
-
-    @property
-    def tripped(self) -> bool:
-        """Whether the sensor is at/above its trip point."""
-        return self.temperature_c >= self.trip_celsius
 
     def millidegrees(self) -> int:
         """hwmon integer reading (m°C); raises while dropped out."""

@@ -10,12 +10,17 @@ callback when the sensor hits its trip point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.hardware.sensors import ThermalSensor
+__all__ = ["ThermalEvent", "ThermalWatchdog", "TRIP_CELSIUS",
+           "WARNING_CELSIUS"]
 
-__all__ = ["ThermalEvent", "ThermalWatchdog"]
+#: SoC over-temperature shutdown point: node 7 stopped executing at 107 °C
+#: in Fig. 6.
+TRIP_CELSIUS = 107.0
+#: Logged-but-non-fatal threshold; the ExaMon thermal dashboard shows it.
+WARNING_CELSIUS = 90.0
 
 
 @dataclass(frozen=True)
@@ -29,26 +34,19 @@ class ThermalEvent:
 
 
 class ThermalWatchdog:
-    """Monitors SoC sensors and shuts nodes down at the trip temperature.
+    """Monitors SoC sensors and shuts nodes down at :data:`TRIP_CELSIUS`.
 
-    Parameters
-    ----------
-    trip_celsius:
-        Shutdown temperature (107 °C, the value node 7 reached in Fig. 6).
-    warning_celsius:
-        Logged-but-non-fatal threshold; ExaMon dashboards highlight it.
-    on_trip:
-        Callback ``(node_name) -> None`` invoked once per trip; the cluster
-        wires this to the node's emergency power-off.
+    A sample at or above :data:`WARNING_CELSIUS` is recorded once per node
+    as a warning.  ``on_trip`` is a callback ``(node_name) -> None``
+    invoked once per trip; the cluster wires this to the node's emergency
+    power-off.
     """
 
-    def __init__(self, trip_celsius: float = 107.0,
-                 warning_celsius: float = 90.0,
+    def __init__(self,
                  on_trip: Optional[Callable[[str], None]] = None) -> None:
-        if warning_celsius >= trip_celsius:
-            raise ValueError("warning threshold must be below trip threshold")
-        self.trip_celsius = trip_celsius
-        self.warning_celsius = warning_celsius
+        # Instance attributes: ``observe`` reads them once per node-second.
+        self.trip_celsius = TRIP_CELSIUS
+        self.warning_celsius = WARNING_CELSIUS
         self.on_trip = on_trip
         self.events: List[ThermalEvent] = []
         self._tripped: Dict[str, bool] = {}

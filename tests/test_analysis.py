@@ -10,6 +10,7 @@ from repro.analysis.experiments import (
     fig4_boot_power,
     infiniband_status,
     qe_lax_result,
+    stream_fractions,
     table1_software_stack,
     table2_topics,
     table4_hwmon,
@@ -17,6 +18,7 @@ from repro.analysis.experiments import (
     table6_power,
 )
 from repro.analysis.tables import render_table
+from repro.analysis.validate import CLAIMS
 
 
 class TestRenderTable:
@@ -40,11 +42,20 @@ class TestRenderTable:
         assert "3.142" in text
 
 
+def assert_claims_hold(driver):
+    """Every ledger claim measured by ``driver`` passes its bound."""
+    results = {}
+    checks = [claim.check(results) for claim in CLAIMS
+              if claim.driver is driver]
+    assert checks, f"no claim reads {driver.__name__}"
+    assert [check for check in checks if not check.passed] == []
+
+
 class TestFastDrivers:
+    """Each fast driver against its claims in the ledger."""
+
     def test_table1_all_match(self):
-        rows = table1_software_stack()
-        assert len(rows) == 9
-        assert all(match for _n, _i, _p, match in rows)
+        assert_claims_hold(table1_software_stack)
 
     def test_table2_topic_shapes(self):
         topics = table2_topics()
@@ -60,53 +71,31 @@ class TestFastDrivers:
         }
 
     def test_fig2_anchors(self):
-        scaling = fig2_hpl_scaling()
-        assert scaling.point(1).gflops == pytest.approx(1.86, abs=0.04)
-        assert scaling.point(8).gflops == pytest.approx(12.65, abs=0.52)
-        assert scaling.point(8).fraction_of_linear == pytest.approx(0.85,
-                                                                    abs=0.03)
+        assert_claims_hold(fig2_hpl_scaling)
         with pytest.raises(KeyError):
-            scaling.point(16)
+            fig2_hpl_scaling().point(16)
 
     def test_table5_within_one_percent(self):
-        table = table5_stream()
-        for column in table.values():
-            for kernel, (measured, reference) in column.items():
-                assert measured == pytest.approx(reference, rel=0.01), kernel
+        assert_claims_hold(table5_stream)
 
     def test_comparison_rows_match_paper(self):
-        for machine, hpl, hpl_ref, stream, stream_ref in comparison_table():
-            assert hpl == pytest.approx(hpl_ref, abs=0.005), machine
-            assert stream == pytest.approx(stream_ref, abs=0.005), machine
+        assert_claims_hold(comparison_table)
+        assert_claims_hold(stream_fractions)
 
     def test_qe_lax(self):
-        result = qe_lax_result()
-        assert result.throughput.mean == pytest.approx(1.44, abs=0.05)
+        assert_claims_hold(qe_lax_result)
 
     def test_table6_rails_within_tolerance(self):
-        table = table6_power()
-        for column, rails in table.items():
-            for rail, (measured, reference) in rails.items():
-                assert measured == pytest.approx(reference, abs=25.0), \
-                    f"{column}/{rail}"
+        assert_claims_hold(table6_power)
 
     def test_fig3_trace_means_track_table_vi(self):
-        traces = fig3_power_traces(duration_s=2.0)
-        assert traces["hpl"]["core"]["mean_w"] == pytest.approx(4.097,
-                                                                abs=0.15)
-        assert traces["stream_ddr"]["ddr"]["mean_w"] == pytest.approx(0.95,
-                                                                      abs=0.1)
+        assert_claims_hold(fig3_power_traces)
 
     def test_fig4_decomposition(self):
-        boot = fig4_boot_power()
-        assert boot["r1_core_w"] == pytest.approx(0.984, abs=0.01)
-        assert boot["leakage_fraction"] == pytest.approx(0.32, abs=0.01)
-        assert boot["os_fraction"] == pytest.approx(0.17, abs=0.01)
+        assert_claims_hold(fig4_boot_power)
 
     def test_infiniband_snapshot(self):
-        status = infiniband_status()
-        assert status.device_recognised and status.board_to_board_ping
-        assert not status.rdma_functional
+        assert_claims_hold(infiniband_status)
 
 
 class TestPaperConstants:

@@ -12,13 +12,6 @@ from repro.hardware.sensors import HWMON_PATHS, HwmonTree, ThermalSensor
 
 
 class TestThermalSensor:
-    def test_trip_at_107(self):
-        sensor = ThermalSensor(name="cpu_temp")
-        sensor.set(106.9)
-        assert not sensor.tripped
-        sensor.set(107.0)
-        assert sensor.tripped
-
     def test_millidegrees(self):
         sensor = ThermalSensor(name="cpu_temp", temperature_c=42.5)
         assert sensor.millidegrees() == 42500

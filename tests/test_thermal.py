@@ -188,10 +188,6 @@ class TestWatchdog:
         watchdog.observe(2.0, "n1", 110.0)
         assert tripped == ["n1", "n1"]
 
-    def test_thresholds_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            ThermalWatchdog(trip_celsius=80.0, warning_celsius=90.0)
-
     def test_tripped_nodes_in_order(self):
         watchdog = ThermalWatchdog()
         watchdog.observe(1.0, "n2", 108.0)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.validate import CheckResult, render_checklist, run_validation
+from repro.analysis.validate import (
+    CLAIMS,
+    CheckResult,
+    render_checklist,
+    run_validation,
+)
 from repro.cluster.cluster import MonteCimoneCluster
 from repro.power.energy import JobEnergyAccounting
 from repro.power.model import HPL_PROFILE
@@ -23,6 +28,29 @@ class TestCheckResult:
         assert not check.passed
 
 
+class TestClaimsLedger:
+    """Each claim's bound is wired as declared; no driver runs here."""
+
+    def test_titles_are_unique(self):
+        titles = [claim.title for claim in CLAIMS]
+        assert len(set(titles)) == len(titles)
+
+    @pytest.mark.parametrize("claim", CLAIMS, ids=lambda claim: claim.title)
+    def test_bound_is_wired_as_declared(self, claim):
+        assert claim.judge(claim.paper).passed
+        if claim.bound == 0:
+            wrong = (not claim.paper if isinstance(claim.paper, bool)
+                     else claim.paper + "?")
+            assert not claim.judge(wrong).passed
+            return
+        # 0.99 bounds away passes and 1.01 bounds away fails, both sides.
+        for factor, passes in ((0.99, True), (1.01, False)):
+            for step in (factor * claim.bound, -factor * claim.bound):
+                value = (claim.paper * (1 + step) if claim.relative
+                         else claim.paper + step)
+                assert claim.judge(value).passed is passes, value
+
+
 class TestValidation:
     CHECKS = run_validation(include_slow=False)
 
@@ -40,6 +68,13 @@ class TestValidation:
         text = render_checklist(self.CHECKS)
         assert text.count("[PASS]") == len(self.CHECKS)
         assert f"{len(self.CHECKS)}/{len(self.CHECKS)} checks passed" in text
+
+    def test_cli_fast_set_passes(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(self.CHECKS)}/{len(self.CHECKS)} checks passed" in out
 
     def test_failed_check_rendered_as_fail(self):
         fake = [CheckResult("broken", 1.0, 2.0, 0.1, False)]
