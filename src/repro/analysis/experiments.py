@@ -19,14 +19,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis import paper
 from repro.benchmarks.hpl import HPLConfig, HPLModel
 from repro.benchmarks.qe_lax import QELaxConfig, QELaxModel
-from repro.benchmarks.stream import StreamConfig, StreamModel
+from repro.benchmarks.stream import StreamModel
 from repro.cluster.cluster import MonteCimoneCluster
 from repro.examon.deployment import ExamonDeployment
 from repro.examon.plugins.stats_pub import TABLE_III_METRICS
 from repro.examon.topics import TopicSchema
 from repro.hardware.sensors import HWMON_PATHS
 from repro.network.infiniband import InfinibandFabric
-from repro.perf.machines import COMPARISON_MACHINES, utilisation_table
+from repro.perf.machines import utilisation_table
 from repro.perf.scaling import ScalingPoint, strong_scaling_table
 from repro.power.boot import BootPowerModel
 from repro.power.model import (
@@ -48,9 +48,9 @@ from repro.thermal.enclosure import EnclosureConfig
 __all__ = [
     "comparison_table", "fig2_hpl_scaling", "fig3_power_traces",
     "fig4_boot_power", "fig5_heatmaps", "fig5_store", "fig6_thermal_runaway",
-    "infiniband_status", "qe_lax_result", "stream_fractions",
-    "table1_software_stack", "table2_topics", "table3_stats_metrics",
-    "table4_hwmon", "table5_stream", "table6_power",
+    "infiniband_status", "qe_lax_result", "table1_software_stack",
+    "table2_topics", "table3_stats_metrics", "table4_hwmon",
+    "table5_stream", "table6_power",
 ]
 
 
@@ -157,13 +157,6 @@ def comparison_table() -> List[Tuple[str, float, float, float, float]]:
         rows.append((name, row.hpl_fraction, reference["hpl"],
                      row.stream_fraction, reference["stream"]))
     return rows
-
-
-def stream_fractions() -> Dict[str, float]:
-    """§V-A STREAM: best fraction of DDR peak per comparison machine."""
-    return {node.name: StreamModel(node=node).run(
-                StreamConfig(array_mib=1945.5)).best_fraction_of_peak
-            for node in COMPARISON_MACHINES}
 
 
 def qe_lax_result():
