@@ -53,7 +53,7 @@ def _broker_with_subscriptions(n_subscriptions):
     """A broker carrying ``n`` exact-topic subscriptions on distinct topics."""
     broker = MQTTBroker()
     for i in range(n_subscriptions):
-        broker.subscribe(f"c{i}", f"org/u/node/n{i % 64}/metric/m{i}",
+        broker.subscribe(f"org/u/node/n{i % 64}/metric/m{i}",
                          lambda _m: None)
     return broker
 
@@ -61,7 +61,7 @@ def _broker_with_subscriptions(n_subscriptions):
 def _publish_burst(broker, n_messages=200):
     for i in range(n_messages):
         broker.publish(f"org/u/node/n{i % 64}/metric/m{i % 16}", "1;1",
-                       timestamp_s=float(i), retain=False)
+                       retain=False)
 
 
 class TestSubscriptionIndexScaling:

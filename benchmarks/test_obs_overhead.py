@@ -11,7 +11,8 @@ a hook leaked out of its guard.
 import time
 
 from repro.events.engine import Engine
-from repro.obs import attach_tracer, span_of
+from repro.obs.instrument import attach_tracer
+from repro.obs.trace import span_of
 
 #: Workload size: processes × yields each, enough to dominate fixed costs.
 _N_PROCESSES = 60

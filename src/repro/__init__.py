@@ -9,11 +9,12 @@ monitoring vertical, NFS/LDAP/modules) is implemented from scratch.
 
 Quick tour
 ----------
->>> from repro.cluster import MonteCimoneCluster          # the machine
->>> from repro.examon import ExamonDeployment             # monitoring
->>> from repro.slurm import SlurmAPI                      # batch system
->>> from repro.benchmarks import HPLModel, StreamModel    # workloads
->>> from repro.analysis import generate_experiments_report  # the paper
+>>> from repro.cluster.cluster import MonteCimoneCluster        # the machine
+>>> from repro.examon.deployment import ExamonDeployment       # monitoring
+>>> from repro.slurm.api import SlurmAPI                       # batch system
+>>> from repro.benchmarks.hpl import HPLModel                  # workloads
+>>> from repro.benchmarks.stream import StreamModel
+>>> from repro.analysis.report import generate_experiments_report  # the paper
 
 Subpackages
 -----------
@@ -35,5 +36,3 @@ Subpackages
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

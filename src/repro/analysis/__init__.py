@@ -11,41 +11,3 @@
 * :mod:`repro.analysis.validate` — the claims ledger: every paper number
   with its bound, judged by ``repro validate`` and the benchmark harness.
 """
-
-from repro.analysis.experiments import (
-    comparison_table,
-    fig2_hpl_scaling,
-    fig3_power_traces,
-    fig4_boot_power,
-    fig5_heatmaps,
-    fig6_thermal_runaway,
-    infiniband_status,
-    qe_lax_result,
-    table1_software_stack,
-    table2_topics,
-    table3_stats_metrics,
-    table4_hwmon,
-    table5_stream,
-    table6_power,
-)
-from repro.analysis.report import generate_experiments_report
-from repro.analysis.tables import render_table
-
-__all__ = [
-    "comparison_table",
-    "fig2_hpl_scaling",
-    "fig3_power_traces",
-    "fig4_boot_power",
-    "fig5_heatmaps",
-    "fig6_thermal_runaway",
-    "generate_experiments_report",
-    "infiniband_status",
-    "qe_lax_result",
-    "render_table",
-    "table1_software_stack",
-    "table2_topics",
-    "table3_stats_metrics",
-    "table4_hwmon",
-    "table5_stream",
-    "table6_power",
-]

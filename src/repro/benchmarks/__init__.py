@@ -14,29 +14,3 @@ Each benchmark exists in two forms:
 Run-to-run spread is modelled by :class:`repro.benchmarks.base.RunStatistics`
 with seeded Gaussian jitter over the same 10 repetitions the paper used.
 """
-
-from repro.benchmarks.base import BenchmarkResult, RunStatistics
-from repro.benchmarks.hpl import HPLConfig, HPLModel, HPLResult
-from repro.benchmarks.qe_lax import QELaxConfig, QELaxModel
-from repro.benchmarks.stream import (
-    CodeModelError,
-    StreamConfig,
-    StreamModel,
-    StreamResult,
-    STREAM_KERNELS,
-)
-
-__all__ = [
-    "BenchmarkResult",
-    "CodeModelError",
-    "HPLConfig",
-    "HPLModel",
-    "HPLResult",
-    "QELaxConfig",
-    "QELaxModel",
-    "RunStatistics",
-    "STREAM_KERNELS",
-    "StreamConfig",
-    "StreamModel",
-    "StreamResult",
-]

@@ -6,7 +6,7 @@ themselves are implemented and correct.  The test-suite cross-checks each
 kernel against numpy/scipy references, and pytest-benchmark times them on
 the host for the harness's sanity benches.
 
-* :func:`stream_copy` … :func:`stream_triad` — the four STREAM kernels;
+* :func:`stream_triad` — the STREAM triad kernel;
 * :func:`blocked_lu` — right-looking blocked LU with partial pivoting, the
   algorithm inside HPL;
 * :func:`lu_solve` — forward/back substitution completing the Linpack solve;
@@ -22,29 +22,14 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "stream_copy", "stream_scale", "stream_add", "stream_triad",
-    "blocked_lu", "lu_solve", "hpl_residual", "blocked_jacobi_eigh",
+    "stream_triad", "blocked_lu", "lu_solve", "hpl_residual",
+    "blocked_jacobi_eigh",
 ]
 
 
 # --------------------------------------------------------------------------
-# STREAM kernels
+# STREAM triad
 # --------------------------------------------------------------------------
-def stream_copy(a: np.ndarray, c: np.ndarray) -> None:
-    """c[i] = a[i] — 16 bytes/element of traffic, no FLOPs."""
-    np.copyto(c, a)
-
-
-def stream_scale(b: np.ndarray, c: np.ndarray, scalar: float = 3.0) -> None:
-    """b[i] = scalar * c[i] — 16 bytes/element, 1 FLOP/element."""
-    np.multiply(c, scalar, out=b)
-
-
-def stream_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """c[i] = a[i] + b[i] — 24 bytes/element, 1 FLOP/element."""
-    np.add(a, b, out=c)
-
-
 def stream_triad(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                  scalar: float = 3.0) -> None:
     """a[i] = b[i] + scalar * c[i] — 24 bytes/element, 2 FLOPs/element."""

@@ -95,7 +95,6 @@ class StreamResult:
     """Per-kernel attained bandwidth for one configuration."""
 
     config: StreamConfig
-    regime: str                                   # "ddr" | "l2"
     bandwidth_mb_s: Dict[str, RunStatistics]      # per kernel
     best_fraction_of_peak: float
 
@@ -164,7 +163,7 @@ class StreamModel:
                 central, self.RELATIVE_SPREAD, seed=seed + i)
         best = max(stats.mean for stats in bandwidths.values())
         return StreamResult(
-            config=config, regime=regime, bandwidth_mb_s=bandwidths,
+            config=config, bandwidth_mb_s=bandwidths,
             best_fraction_of_peak=best * 1e6 / self.node.peak_bandwidth)
 
     def table_v(self, seed: int = 2022) -> Dict[str, StreamResult]:

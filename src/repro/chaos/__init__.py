@@ -10,8 +10,3 @@ degradation") for the taxonomy and the invariant-checker contract.
 Campaign consumers import :mod:`repro.chaos.scenarios` and
 :mod:`repro.chaos.check` directly.
 """
-
-from repro.chaos.faults import ChaosLog, FaultEvent, FaultKind
-from repro.chaos.schedule import ChaosSchedule
-
-__all__ = ["ChaosLog", "ChaosSchedule", "FaultEvent", "FaultKind"]

@@ -15,7 +15,6 @@ kind                      meaning / paper anchor
 ``sensor-dropout``        a hwmon sensor stops answering reads (Table IV)
 ``sensor-stuck``          a sensor freezes at its last value
 ``broker-outage``         the master-node MQTT broker is down (§IV-B)
-``broker-slow``           the broker answers, slowly
 ``link-down``             a GbE port link is down (§IV star network)
 ``link-degraded``         a link runs at a fraction of nominal bandwidth
 ``service-outage``        NFS or LDAP on the master node is down (§IV-A)
@@ -38,14 +37,10 @@ class FaultKind:
     SENSOR_DROPOUT = "sensor-dropout"
     SENSOR_STUCK = "sensor-stuck"
     BROKER_OUTAGE = "broker-outage"
-    BROKER_SLOW = "broker-slow"
     LINK_DOWN = "link-down"
     LINK_DEGRADED = "link-degraded"
     SERVICE_OUTAGE = "service-outage"
     NODE_TRIP = "node-trip"
-
-    ALL = (SENSOR_DROPOUT, SENSOR_STUCK, BROKER_OUTAGE, BROKER_SLOW,
-           LINK_DOWN, LINK_DEGRADED, SERVICE_OUTAGE, NODE_TRIP)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ scheduled simulated times) and keeps the campaign's book-keeping:
 Recovery spans (``chaos.recovery`` / ``recovery:<kind>:<target>``) are
 recorded by whichever side actually performs the recovery: the sampling
 plugins on reconnect/backfill, the MPI retry loop once a flapping link
-returns, the injector itself for passive components (a slow broker, a
-stuck sensor, a service whose queued clients it replays on restore).
+returns, the injector itself for passive components (a stuck sensor, a
+service whose queued clients it replays on restore).
 The invariant checker in :mod:`repro.chaos.check` matches the two by
 their ``kind``/``target`` attributes.
 """
@@ -27,8 +27,7 @@ from repro.chaos.faults import ChaosLog, FaultKind
 from repro.events.engine import Engine, Event
 
 __all__ = ["FaultInjector", "SensorFaultInjector", "BrokerOutageInjector",
-           "BrokerSlowInjector", "LinkFaultInjector", "ServiceOutageInjector",
-           "NodeTripInjector"]
+           "LinkFaultInjector", "ServiceOutageInjector", "NodeTripInjector"]
 
 
 class FaultInjector:
@@ -162,36 +161,6 @@ class BrokerOutageInjector(FaultInjector):
 
     def _revert(self) -> None:
         self.broker.restore()
-
-
-class BrokerSlowInjector(FaultInjector):
-    """The broker answers, slowly; daemons degrade their cadence."""
-
-    KIND = FaultKind.BROKER_SLOW
-
-    def __init__(self, engine: Engine, log: ChaosLog, broker: Any,
-                 delay_s: float = 0.25) -> None:
-        super().__init__(engine, log, target=broker.hostname)
-        self.broker = broker
-        self.delay_s = delay_s
-
-    def _apply(self) -> None:
-        self.broker.set_slow(self.delay_s)
-
-    def _revert(self) -> None:
-        self.broker.restore()
-
-    def _detail(self) -> str:
-        return f"delay={self.delay_s:g}s"
-
-    def restore(self) -> None:
-        start_s = self._injected_at
-        super().restore()
-        if start_s is not None:
-            # Passive degradation: daemons absorbed the slowdown without
-            # state of their own, so restore *is* the recovery.
-            self._record_recovery(start_s, self.engine.now,
-                                  delay_s=self.delay_s)
 
 
 class LinkFaultInjector(FaultInjector):

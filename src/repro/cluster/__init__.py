@@ -10,9 +10,3 @@
 * :mod:`repro.cluster.services` — NFS, LDAP and environment-modules
   service models.
 """
-
-from repro.cluster.cluster import MonteCimoneCluster
-from repro.cluster.node import ComputeNode, NodeState
-from repro.cluster.procfs import ProcFS
-
-__all__ = ["ComputeNode", "MonteCimoneCluster", "NodeState", "ProcFS"]

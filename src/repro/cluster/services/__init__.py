@@ -5,13 +5,3 @@ running HPC workloads in a production environment, namely NFS, LDAP and
 the SLURM job scheduler."  SLURM lives in :mod:`repro.slurm`; this package
 models the other two plus the environment-modules user environment.
 """
-
-from repro.cluster.services.base import (ServiceAvailability,
-                                         ServiceUnavailableError)
-from repro.cluster.services.ldap import LDAPServer, LDAPUser
-from repro.cluster.services.modules import EnvironmentModules, Module
-from repro.cluster.services.nfs import NFSExport, NFSServer
-
-__all__ = ["EnvironmentModules", "LDAPServer", "LDAPUser", "Module",
-           "NFSExport", "NFSServer", "ServiceAvailability",
-           "ServiceUnavailableError"]

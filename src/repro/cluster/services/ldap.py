@@ -2,7 +2,7 @@
 
 The cluster's user accounts live in an LDAP server on the master node
 (§IV-A).  The model covers what the rest of the stack needs: posixAccount
-entries with uid/gid/home/shell, groups, bind-style authentication (the
+entries with uid/gid/home, groups, bind-style authentication (the
 login node's front door) and prefix search.
 """
 
@@ -33,8 +33,6 @@ class LDAPUser:
     uid_number: int
     gid_number: int
     home: str
-    shell: str = "/bin/bash"
-    gecos: str = ""
 
 
 @dataclass
@@ -74,8 +72,7 @@ class LDAPServer(ServiceAvailability):
         self._groups[name] = group
         return group
 
-    def add_user(self, uid: str, password: str, group: str,
-                 gecos: str = "") -> LDAPUser:
+    def add_user(self, uid: str, password: str, group: str) -> LDAPUser:
         """Create a posixAccount in an existing group."""
         if uid in self._users:
             raise ValueError(f"user {uid!r} already exists")
@@ -83,7 +80,7 @@ class LDAPServer(ServiceAvailability):
             raise KeyError(f"no such group {group!r}")
         user = LDAPUser(uid=uid, uid_number=self._next_uid,
                         gid_number=self._groups[group].gid_number,
-                        home=f"/home/{uid}", gecos=gecos)
+                        home=f"/home/{uid}")
         self._next_uid += 1
         self._users[uid] = user
         self._groups[group].members.append(uid)

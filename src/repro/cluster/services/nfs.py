@@ -11,12 +11,12 @@ counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.services.base import ServiceAvailability
 
-__all__ = ["NFSExport", "NFSServer", "NFSMount"]
+__all__ = ["NFSServer", "NFSMount"]
 
 
 def _normalise(path: str) -> str:
@@ -24,14 +24,6 @@ def _normalise(path: str) -> str:
         raise ValueError(f"path must be absolute: {path!r}")
     parts = [p for p in path.split("/") if p]
     return "/" + "/".join(parts)
-
-
-@dataclass
-class NFSExport:
-    """One exported subtree with its option string."""
-
-    path: str
-    options: str = "rw,sync,no_root_squash"
 
 
 class NFSServer(ServiceAvailability):
@@ -48,16 +40,16 @@ class NFSServer(ServiceAvailability):
     def __init__(self, hostname: str = "mc-master") -> None:
         super().__init__()
         self.hostname = hostname
-        self.exports: Dict[str, NFSExport] = {}
+        self.exports: set[str] = set()
         self._files: Dict[str, bytes] = {}
         self._dirs: set[str] = {"/"}
         self.bytes_written = 0
 
     # -- exports ---------------------------------------------------------------
-    def export(self, path: str, options: str = "rw,sync,no_root_squash") -> None:
+    def export(self, path: str) -> None:
         """Add a subtree to the export table and create its root."""
         path = _normalise(path)
-        self.exports[path] = NFSExport(path=path, options=options)
+        self.exports.add(path)
         self.mkdir(path, parents=True)
 
     def is_exported(self, path: str) -> bool:

@@ -11,7 +11,7 @@ simulation in the test-suite and benchmark harness exactly reproducible.
 
 Example
 -------
->>> from repro.events import Engine
+>>> from repro.events.engine import Engine
 >>> eng = Engine()
 >>> log = []
 >>> def worker(env):
@@ -23,21 +23,3 @@ Process(...)
 >>> log
 [1.5]
 """
-
-from repro.events.engine import (AllOf, AnyOf, Engine, Event, FailureRecord,
-                                 SimulationError, Timeout,
-                                 UnconsumedFailureError)
-from repro.events.process import Interrupt, Process
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Engine",
-    "Event",
-    "FailureRecord",
-    "Interrupt",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "UnconsumedFailureError",
-]

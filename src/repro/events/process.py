@@ -5,7 +5,7 @@ objects.  Each time a yielded event fires, the generator is resumed with the
 event's value (or the event's exception is thrown into it).  A process is
 itself an event, so processes can wait on each other:
 
->>> from repro.events import Engine
+>>> from repro.events.engine import Engine
 >>> eng = Engine()
 >>> def child(env):
 ...     yield env.timeout(2)

@@ -19,39 +19,3 @@ RESTful API on top.  This package implements the whole vertical:
 * :mod:`repro.examon.deployment` — wiring onto a
   :class:`~repro.cluster.cluster.MonteCimoneCluster`.
 """
-
-from repro.examon.analytics import (
-    Anomaly,
-    TrendDetector,
-    ZScoreDetector,
-    scan_cluster_temperatures,
-)
-from repro.examon.broker import MQTTBroker, MQTTMessage
-from repro.examon.dashboard import Dashboard, Heatmap
-from repro.examon.deployment import ExamonDeployment
-from repro.examon.payload import decode_payload, encode_payload
-from repro.examon.plugins.pmu_pub import PmuPubPlugin
-from repro.examon.plugins.stats_pub import StatsPubPlugin
-from repro.examon.rest import ExamonRestAPI
-from repro.examon.topics import TopicSchema, topic_matches
-from repro.examon.tsdb import TimeSeriesDB
-
-__all__ = [
-    "Anomaly",
-    "Dashboard",
-    "TrendDetector",
-    "ZScoreDetector",
-    "scan_cluster_temperatures",
-    "ExamonDeployment",
-    "ExamonRestAPI",
-    "Heatmap",
-    "MQTTBroker",
-    "MQTTMessage",
-    "PmuPubPlugin",
-    "StatsPubPlugin",
-    "TimeSeriesDB",
-    "TopicSchema",
-    "decode_payload",
-    "encode_payload",
-    "topic_matches",
-]

@@ -15,14 +15,6 @@ topic is a dict hit whose cost does not depend on the subscription
 count.  ``match_cache_misses`` counts the filter runs; the observability
 layer exposes the hits as the deterministic measure of matching work
 (simulation code may not read the host wall clock).
-
-Retained-flag semantics follow MQTT 3.1.1 §3.3.1.3: a message delivered
-live to an existing subscriber carries ``retained=False``; a message
-replayed from the retained store to a *new* subscriber carries
-``retained=True``.  (An earlier revision inverted this — live deliveries
-copied the publisher's ``retain`` request and replays reused the stored
-flag — which made it impossible for a dashboard to tell a fresh sample
-from a stale replay.)
 """
 
 from __future__ import annotations
@@ -50,23 +42,20 @@ class BrokerUnavailableError(ConnectionError):
 
 
 class MQTTMessage(NamedTuple):
-    """One published message (immutable; ``_replace`` derives a copy)."""
+    """One published message; the payload carries its own timestamp."""
 
     topic: str
     payload: str
-    timestamp_s: float
-    retained: bool = False
 
 
 @dataclass(slots=True, eq=False)
 class Subscription:
-    """One client subscription: a pattern and its delivery callback.
+    """One subscription: a pattern and its delivery callback.
 
     Compared by identity: two identical subscriptions are two
     deliveries, each in its own place in the delivery order.
     """
 
-    client_id: str
     pattern: str
     callback: Callable[[MQTTMessage], None]
 
@@ -93,10 +82,6 @@ class MQTTBroker:
         self.match_cache_misses = 0
         #: Availability (chaos injection): a down broker refuses publishes.
         self.available = True
-        #: Slow-broker fault: extra per-publish latency the *publishing*
-        #: daemon must absorb (modelled client-side, since the broker
-        #: object itself has no clock).  ``0`` means healthy.
-        self.publish_delay_s = 0.0
         #: Publishes refused while the broker was down.
         self.publish_rejects = 0
 
@@ -111,17 +96,15 @@ class MQTTBroker:
         return len(self._subscriptions)
 
     # -- subscribe ----------------------------------------------------------
-    def subscribe(self, client_id: str, pattern: str,
+    def subscribe(self, pattern: str,
                   callback: Callable[[MQTTMessage], None]) -> Subscription:
         """Register a wildcard subscription.
 
-        Retained messages matching the pattern are delivered immediately
-        with the retain flag **set**, per MQTT retained-message semantics
-        (the subscriber can tell these replays from live traffic).
+        Retained messages matching the pattern are delivered immediately,
+        per MQTT retained-message semantics.
         """
         topic_matches(pattern, "probe")  # validates '#' placement
-        subscription = Subscription(client_id=client_id, pattern=pattern,
-                                    callback=callback)
+        subscription = Subscription(pattern=pattern, callback=callback)
         self._subscriptions.append(subscription)
         self._match_cache.clear()
         # Replay order is part of the subscribe contract (alphabetical);
@@ -129,19 +112,16 @@ class MQTTBroker:
         # publish.
         for topic in sorted(self._retained):  # simlint: disable=PERF303
             if topic_matches(pattern, topic):
-                callback(self._retained[topic]._replace(retained=True))
+                callback(self._retained[topic])
                 self.messages_delivered += 1
         return subscription
 
     # -- publish -----------------------------------------------------------
-    def publish(self, topic: str, payload: str, timestamp_s: float,
-                retain: bool = True) -> int:
+    def publish(self, topic: str, payload: str, retain: bool = True) -> int:
         """Publish one message; returns the number of deliveries.
 
         ExaMon retains the last sample per topic by default so that
-        dashboards attaching mid-run render immediately.  Live deliveries
-        carry ``retained=False`` (MQTT 3.1.1: the retain flag marks store
-        replays, not the publisher's retain request).
+        dashboards attaching mid-run render immediately.
         """
         callbacks = self._match_cache.get(topic)
         # Only a cache miss can be a wildcard: wildcard topics raise here
@@ -153,7 +133,7 @@ class MQTTBroker:
             raise BrokerUnavailableError(
                 f"broker {self.hostname!r} is down; connect refused")
         # What ``MQTTMessage(...)`` does, minus its Python-level frame.
-        message = _tuple_new(MQTTMessage, (topic, payload, timestamp_s, False))
+        message = _tuple_new(MQTTMessage, (topic, payload))
         self.messages_published += 1
         self.bytes_published += len(topic) + len(payload)
         if retain:
@@ -186,12 +166,5 @@ class MQTTBroker:
         self.available = False
 
     def restore(self) -> None:
-        """Bring the broker back up and clear any slow-mode penalty."""
+        """Bring the broker back up."""
         self.available = True
-        self.publish_delay_s = 0.0
-
-    def set_slow(self, delay_s: float) -> None:
-        """Degrade the broker: every publish costs ``delay_s`` extra."""
-        if delay_s < 0:
-            raise ValueError("slow-broker delay cannot be negative")
-        self.publish_delay_s = float(delay_s)

@@ -8,9 +8,3 @@ installed on the compute nodes" (§IV-B):
 * :mod:`repro.examon.plugins.stats_pub` — OS statistics from procfs/sysfs
   (Table III), 0.2 Hz.
 """
-
-from repro.examon.plugins.base import SamplingPlugin
-from repro.examon.plugins.pmu_pub import PmuPubPlugin
-from repro.examon.plugins.stats_pub import StatsPubPlugin
-
-__all__ = ["PmuPubPlugin", "SamplingPlugin", "StatsPubPlugin"]

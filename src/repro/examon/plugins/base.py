@@ -11,9 +11,6 @@ Failure semantics (the chaos harness leans on these):
   reconnect attempts follow a seeded exponential backoff, and on
   reconnect the buffer is *backfilled* — republished with the original
   sample timestamps, so the TSDB series covers the outage window.
-* **Slow broker** — a broker in slow mode charges ``publish_delay_s``
-  per sampling instant; the daemon absorbs it in simulated time, so the
-  effective cadence degrades instead of the daemon wedging.
 * **Sensor faults** — subclasses report per-sensor read failures through
   :meth:`note_target_fault` / :meth:`note_target_recovered`; the base
   class records a ``chaos.recovery`` span once the sensor reads again.
@@ -81,7 +78,6 @@ class SamplingPlugin(ABC):
         self.samples_buffered = 0
         self.samples_dropped = 0
         self.samples_backfilled = 0
-        self.slow_publishes = 0
         self.sensor_faults = 0
         #: (kind, target) → simulated time the fault was first observed.
         self._fault_since: Dict[Tuple[str, str], float] = {}
@@ -118,7 +114,7 @@ class SamplingPlugin(ABC):
         # refused publish does not un-take the sample.
         self.samples_taken += 1
         for topic, value in metrics.items():
-            self.broker.publish(topic, encode_payload(value, now_s), now_s)
+            self.broker.publish(topic, encode_payload(value, now_s))
         return len(metrics)
 
     # -- hardened sampling path ---------------------------------------------
@@ -190,8 +186,7 @@ class SamplingPlugin(ABC):
                 # TSDB indexes by) covers the outage window, and
                 # chronological flush order keeps the retained store's
                 # last-sample-per-topic invariant.
-                self.broker.publish(topic, encode_payload(value, timestamp_s),
-                                    timestamp_s)
+                self.broker.publish(topic, encode_payload(value, timestamp_s))
             except BrokerUnavailableError:
                 # Flapped down again mid-backfill; keep the rest buffered.
                 self._disconnect(now_s)
@@ -235,17 +230,12 @@ class SamplingPlugin(ABC):
         """The daemon loop as a simulation process.
 
         Samples immediately (t=0 of the daemon's life), then sleeps one
-        period per iteration; a slow broker adds its per-instant penalty
-        to the sleep, degrading the cadence instead of wedging the loop.
+        period per iteration.
         """
         self._running = True
         self._engine = engine
         while self._running:
             self.sample_and_publish(engine.now)
-            delay_s = self.broker.publish_delay_s
-            if delay_s > 0 and self._connected:
-                self.slow_publishes += 1
-                yield engine.timeout(delay_s)
             yield engine.timeout(self.period_s)
             # A stop() issued while sleeping lands here: the while guard
             # exits without a trailing sample.

@@ -52,10 +52,9 @@ class TimeSeriesDB:
         self.decode_errors = 0
 
     # -- ingestion ----------------------------------------------------------
-    def attach(self, broker: MQTTBroker, pattern: str,
-               client_id: str = "tsdb") -> None:
+    def attach(self, broker: MQTTBroker, pattern: str) -> None:
         """Subscribe this store to a broker pattern."""
-        broker.subscribe(client_id, pattern, self.ingest)
+        broker.subscribe(pattern, self.ingest)
 
     def ingest(self, message: MQTTMessage) -> None:
         """Store one MQTT message (malformed payloads are counted, kept out)."""

@@ -27,50 +27,3 @@ paper's experiments touch:
 The §VI PCIe accelerator expansion is not modelled: no experiment of the
 paper runs one.
 """
-
-from repro.hardware.board import HiFiveUnmatched
-from repro.hardware.cache import L2Cache, StreamPrefetcher
-from repro.hardware.cores import CoreComplex, S7Core, U74Core
-from repro.hardware.hpm import HPMUnit, PerfEventsInterface
-from repro.hardware.memory import DDR4Subsystem
-from repro.hardware.nic import GigabitEthernet, InfinibandHCA
-from repro.hardware.rails import PowerRail, RailSet
-from repro.hardware.sensors import HwmonTree, ThermalSensor
-from repro.hardware.specs import (
-    DDR_SPEC,
-    L2_SPEC,
-    MARCONI100_NODE,
-    ARMIDA_NODE,
-    MONTE_CIMONE_NODE,
-    NodeSpec,
-    U740_SPEC,
-    SoCSpec,
-)
-from repro.hardware.storage import NVMeDrive
-
-__all__ = [
-    "ARMIDA_NODE",
-    "CoreComplex",
-    "DDR4Subsystem",
-    "DDR_SPEC",
-    "GigabitEthernet",
-    "HPMUnit",
-    "HiFiveUnmatched",
-    "HwmonTree",
-    "InfinibandHCA",
-    "L2Cache",
-    "L2_SPEC",
-    "MARCONI100_NODE",
-    "MONTE_CIMONE_NODE",
-    "NVMeDrive",
-    "NodeSpec",
-    "PerfEventsInterface",
-    "PowerRail",
-    "RailSet",
-    "S7Core",
-    "SoCSpec",
-    "StreamPrefetcher",
-    "ThermalSensor",
-    "U740_SPEC",
-    "U74Core",
-]

@@ -38,8 +38,6 @@ class HiFiveUnmatched:
         The SoC datasheet; defaults to the U740.
     """
 
-    FORM_FACTOR_MM = (170, 170)
-
     def __init__(self, with_infiniband: bool = False,
                  soc_spec: SoCSpec = U740_SPEC) -> None:
         self.soc_spec = soc_spec

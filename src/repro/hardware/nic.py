@@ -61,13 +61,11 @@ class IBState(Enum):
 
 
 class InfinibandHCA:
-    """A Mellanox ConnectX-4 FDR HCA in its Monte Cimone bring-up state.
+    """A Mellanox ConnectX-4 FDR (4x, 56 Gb/s) HCA in its bring-up state.
 
     The class walks the state machine the paper describes and hard-fails on
     RDMA — full support is explicitly future work.
     """
-
-    SPEED_BITS_PER_S = 56e9  # FDR 4x
 
     def __init__(self, installed: bool = True) -> None:
         self._state = IBState.DETECTED if installed else IBState.ABSENT

@@ -33,12 +33,9 @@ MIB = 1024 ** 2
 
 @dataclass(frozen=True)
 class CacheSpec:
-    """Geometry and bandwidth of a cache level."""
+    """Size and bandwidth of a cache level."""
 
-    level: int
     size_bytes: int
-    line_bytes: int
-    associativity: int
     bandwidth_bytes_per_s: float
     prefetch_streams: int = 0
 
@@ -47,11 +44,8 @@ class CacheSpec:
 class MemorySpec:
     """Main-memory subsystem description."""
 
-    technology: str
     capacity_bytes: int
     peak_bandwidth_bytes_per_s: float
-    mt_per_s: int
-    bus_width_bits: int
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,6 @@ class SoCSpec:
     isa: str
     n_cores: int
     clock_hz: float
-    issue_width: int
     flops_per_cycle_per_core: float
     l2: CacheSpec
     memory: MemorySpec
@@ -115,10 +108,7 @@ class NodeSpec:
 # --------------------------------------------------------------------------
 #: Shared 2 MiB L2 with an 8-stream-per-core prefetcher (§V-A discussion).
 L2_SPEC = CacheSpec(
-    level=2,
     size_bytes=2 * MIB,
-    line_bytes=64,
-    associativity=16,
     # L2-resident STREAM copy attains 7079 MB/s (Table V); headroom above
     # that is modest on this part, so the L2 peak is set at ~9.6 GB/s.
     bandwidth_bytes_per_s=9.6e9,
@@ -128,11 +118,8 @@ L2_SPEC = CacheSpec(
 #: 16 GB single-channel DDR4 operating up to 1866 MT/s; the paper quotes a
 #: peak of 7760 MB/s, which is what all efficiency ratios are computed from.
 DDR_SPEC = MemorySpec(
-    technology="DDR4-1866",
     capacity_bytes=16 * GIB,
     peak_bandwidth_bytes_per_s=7760e6,
-    mt_per_s=1866,
-    bus_width_bits=64,
 )
 
 #: The U740: four U74 RV64GCB application cores, dual-issue in-order, up to
@@ -143,7 +130,6 @@ U740_SPEC = SoCSpec(
     isa="RV64GCB",
     n_cores=4,
     clock_hz=1.2e9,
-    issue_width=2,
     flops_per_cycle_per_core=1.0e9 / 1.2e9,  # 1.0 GFLOP/s at 1.2 GHz
     l2=L2_SPEC,
     memory=DDR_SPEC,
@@ -174,14 +160,11 @@ def _comparator(name: str, isa: str, n_cores: int, clock_hz: float,
         isa=isa,
         n_cores=n_cores,
         clock_hz=clock_hz,
-        issue_width=4,
         flops_per_cycle_per_core=flops_per_cycle,
-        l2=CacheSpec(level=2, size_bytes=8 * MIB, line_bytes=128,
-                     associativity=16, bandwidth_bytes_per_s=mem_bw * 4,
+        l2=CacheSpec(size_bytes=8 * MIB, bandwidth_bytes_per_s=mem_bw * 4,
                      prefetch_streams=16),
-        memory=MemorySpec(technology="DDR4", capacity_bytes=dram,
-                          peak_bandwidth_bytes_per_s=mem_bw,
-                          mt_per_s=2933, bus_width_bits=64 * 8),
+        memory=MemorySpec(capacity_bytes=dram,
+                          peak_bandwidth_bytes_per_s=mem_bw),
     )
     return NodeSpec(name=name.lower().replace(" ", ""), soc=soc,
                     n_sockets=n_sockets, dram_bytes=dram,

@@ -26,22 +26,3 @@ Usage::
 
 See ``docs/LINTING.md`` for the rule catalogue and the suppression grammar.
 """
-
-from __future__ import annotations
-
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import ModuleContext, Rule, all_rules, get_rule, register
-from repro.lint.runner import LintResult, lint_paths, lint_source
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "Rule",
-    "ModuleContext",
-    "register",
-    "all_rules",
-    "get_rule",
-    "LintResult",
-    "lint_paths",
-    "lint_source",
-]

@@ -2,7 +2,7 @@
 
 These keep the rule modules focussed on *what* they check rather than on
 AST plumbing: dotted-name rendering for call targets, parent links (the
-stdlib ``ast`` tree has none), and generator-function classification.
+stdlib ``ast`` tree has none), and enclosing-function lookup.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ __all__ = [
     "dotted_name",
     "ancestors",
     "enclosing_function",
-    "is_generator_function",
     "walk_functions",
 ]
 
@@ -66,18 +65,6 @@ def dotted_name(node: ast.AST) -> str:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return ""
-
-
-def is_generator_function(func: ast.AST) -> bool:
-    """True when ``func`` contains a ``yield`` of its own (not in a nested def)."""
-    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return False
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            owner = enclosing_function(node)
-            if owner is func:
-                return True
-    return False
 
 
 def walk_functions(tree: ast.AST) -> Iterator[ast.FunctionDef]:

@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Type
 from repro.lint.astutil import annotate_parents
 from repro.lint.findings import Finding, Severity
 
-__all__ = ["ModuleContext", "Rule", "register", "all_rules", "get_rule", "rule_catalogue"]
+__all__ = ["ModuleContext", "Rule", "register", "all_rules"]
 
 
 @dataclass
@@ -29,7 +29,6 @@ class ModuleContext:
     """
 
     path: str
-    source: str
     tree: ast.Module = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -38,7 +37,7 @@ class ModuleContext:
     @classmethod
     def from_source(cls, source: str, path: str = "<string>") -> "ModuleContext":
         """Parse ``source``; raises ``SyntaxError`` like :func:`ast.parse`."""
-        return cls(path=path, source=source, tree=ast.parse(source, filename=path))
+        return cls(path=path, tree=ast.parse(source, filename=path))
 
     def is_module(self, *suffixes: str) -> bool:
         """True when the module path ends with any of ``suffixes``.
@@ -102,15 +101,3 @@ def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, sorted by id."""
     _load_rules()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    """Instantiate one rule by id; raises ``KeyError`` for unknown ids."""
-    _load_rules()
-    return _REGISTRY[rule_id]()
-
-
-def rule_catalogue() -> Dict[str, Type[Rule]]:
-    """The id → class mapping (a copy; mutating it cannot unregister rules)."""
-    _load_rules()
-    return dict(_REGISTRY)

@@ -14,10 +14,3 @@ HCAs in the partially-working state §III describes.  This package provides:
 * :mod:`repro.network.infiniband` — fabric-level wrapper over the HCA state
   machine: ibping works, RDMA raises.
 """
-
-from repro.network.infiniband import InfinibandFabric
-from repro.network.link import Link
-from repro.network.mpi import MPICostModel
-from repro.network.topology import ClusterTopology, Switch
-
-__all__ = ["ClusterTopology", "InfinibandFabric", "Link", "MPICostModel", "Switch"]

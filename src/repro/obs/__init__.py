@@ -21,18 +21,3 @@ Everything here is deterministic: spans carry simulated timestamps and
 metrics count simulation work, so traces are byte-identical across runs
 and machines (simlint's DET rules apply to this package like any other).
 """
-
-from repro.obs.export import (chrome_trace_json, span_tree_text,
-                              to_chrome_trace, validate_chrome_trace)
-from repro.obs.instrument import (attach_tracer, register_broker_metrics,
-                                  register_scheduler_metrics)
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Span, Tracer, span_of
-
-__all__ = [
-    "Counter", "Gauge", "MetricsRegistry",
-    "NULL_SPAN", "Span", "Tracer", "span_of",
-    "attach_tracer", "register_broker_metrics", "register_scheduler_metrics",
-    "chrome_trace_json", "span_tree_text", "to_chrome_trace",
-    "validate_chrome_trace",
-]

@@ -8,14 +8,3 @@
 * :mod:`repro.perf.plots` — ASCII renderings of the Fig. 2 curve and of
   time series for the report.
 """
-
-from repro.perf.machines import COMPARISON_MACHINES, MachineComparison, utilisation_table
-from repro.perf.scaling import ScalingPoint, strong_scaling_table
-
-__all__ = [
-    "COMPARISON_MACHINES",
-    "MachineComparison",
-    "ScalingPoint",
-    "strong_scaling_table",
-    "utilisation_table",
-]

@@ -45,10 +45,7 @@ class MachineComparison:
 
     machine: str
     isa: str
-    peak_gflops: float
-    hpl_gflops: float
     hpl_fraction: float
-    stream_best_mb_s: float
     stream_fraction: float
 
 
@@ -74,10 +71,7 @@ def compare_machine(node: NodeSpec, seed: int = 2022) -> MachineComparison:
     return MachineComparison(
         machine=node.name,
         isa=node.soc.isa,
-        peak_gflops=node.peak_flops / 1e9,
-        hpl_gflops=hpl.gflops.mean,
         hpl_fraction=hpl.efficiency,
-        stream_best_mb_s=max(s.mean for s in stream.bandwidth_mb_s.values()),
         stream_fraction=stream.best_fraction_of_peak,
     )
 

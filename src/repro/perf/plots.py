@@ -1,4 +1,4 @@
-"""ASCII plotting for the report: the Fig. 2 speedup curve and series.
+"""ASCII plotting for the report: the Fig. 2 speedup curve.
 
 The repository has no plotting dependency; these renderers produce
 terminal/markdown-friendly charts that preserve the figures' shape (the
@@ -7,11 +7,11 @@ quantitative assertions live in the benchmark harness).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.perf.scaling import ScalingPoint
 
-__all__ = ["render_scaling_plot", "render_series"]
+__all__ = ["render_scaling_plot"]
 
 
 def render_scaling_plot(points: Sequence[ScalingPoint],
@@ -53,27 +53,4 @@ def render_scaling_plot(points: Sequence[ScalingPoint],
         lines.append(f"       {point.n_nodes} nodes: {point.gflops:6.2f} "
                      f"GFLOP/s  speedup {point.speedup:5.2f}  "
                      f"({point.fraction_of_linear * 100:5.1f}% of linear)")
-    return "\n".join(lines)
-
-
-def render_series(series: Sequence[Tuple[float, float]], label: str,
-                  width: int = 60, height: int = 10) -> str:
-    """Render one (t, value) series as an ASCII line chart."""
-    if not series:
-        return f"[{label}: no data]"
-    times = [t for t, _v in series]
-    values = [v for _t, v in series]
-    t_lo, t_hi = min(times), max(times)
-    v_lo, v_hi = min(values), max(values)
-    t_span = (t_hi - t_lo) or 1.0
-    v_span = (v_hi - v_lo) or 1.0
-    grid = [[" "] * (width + 1) for _ in range(height + 1)]
-    for t, v in series:
-        col = round((t - t_lo) / t_span * width)
-        row = height - round((v - v_lo) / v_span * height)
-        grid[row][col] = "*"
-    lines = [f"{label}  [{v_lo:.3g} .. {v_hi:.3g}]"]
-    lines.extend("|" + "".join(row) for row in grid)
-    lines.append("+" + "-" * (width + 1)
-                 + f"  t: {t_lo:.0f}..{t_hi:.0f} s")
     return "\n".join(lines)

@@ -12,32 +12,3 @@ Three layers:
 * :mod:`repro.power.traces` — synthesis of the 1 ms-window power traces of
   Fig. 3 and Fig. 4.
 """
-
-from repro.power.boot import BOOT_PHASES, BootPhase, BootPowerModel
-from repro.power.model import (
-    IDLE_PROFILE,
-    HPL_PROFILE,
-    QE_PROFILE,
-    STREAM_DDR_PROFILE,
-    STREAM_L2_PROFILE,
-    NodePhase,
-    RailPowerModel,
-    WorkloadProfile,
-)
-from repro.power.traces import PowerTrace, TraceSynthesizer
-
-__all__ = [
-    "BOOT_PHASES",
-    "BootPhase",
-    "BootPowerModel",
-    "HPL_PROFILE",
-    "IDLE_PROFILE",
-    "NodePhase",
-    "PowerTrace",
-    "QE_PROFILE",
-    "RailPowerModel",
-    "STREAM_DDR_PROFILE",
-    "STREAM_L2_PROFILE",
-    "TraceSynthesizer",
-    "WorkloadProfile",
-]

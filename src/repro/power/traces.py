@@ -48,7 +48,6 @@ class PowerTrace:
     averaging window used to produce each sample (1 ms in Fig. 3).
     """
 
-    label: str
     times_s: np.ndarray
     power_w: np.ndarray
     window_s: float
@@ -185,7 +184,7 @@ class TraceSynthesizer:
         noise = rng.normal(0.0, self.NOISE_RMS * max(base + delta, 1.0),
                            size=times.shape)
         power_mw = base + delta * modulation + noise
-        return PowerTrace(label=f"{workload}/{group}", times_s=times,
+        return PowerTrace(times_s=times,
                           power_w=np.maximum(power_mw, 0.0) / 1e3,
                           window_s=window_s)
 
@@ -202,7 +201,7 @@ class TraceSynthesizer:
         ])
         rng = np.random.default_rng(self.seed + 7)
         noise = rng.normal(0.0, self.NOISE_RMS * np.maximum(power_mw, 1.0))
-        return PowerTrace(label=f"boot/{group}", times_s=times,
+        return PowerTrace(times_s=times,
                           power_w=np.maximum(power_mw + noise, 0.0) / 1e3,
                           window_s=window_s)
 

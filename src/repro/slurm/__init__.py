@@ -12,19 +12,3 @@ paper's experiments ran under:
   exactly what happened to node 7's HPL run in Fig. 6);
 * :mod:`repro.slurm.api` — an sbatch/srun/squeue/sinfo-shaped facade.
 """
-
-from repro.slurm.api import SlurmAPI
-from repro.slurm.job import Job, JobAttempt, JobState
-from repro.slurm.partition import NodeAllocState, Partition, SlurmNodeInfo
-from repro.slurm.scheduler import SlurmController
-
-__all__ = [
-    "Job",
-    "JobAttempt",
-    "JobState",
-    "NodeAllocState",
-    "Partition",
-    "SlurmAPI",
-    "SlurmController",
-    "SlurmNodeInfo",
-]

@@ -20,32 +20,3 @@ package implements the Spack machinery the paper's deployment exercised:
 * :mod:`repro.spack.environment` — the Monte Cimone production
   environment: exactly the Table I package list.
 """
-
-from repro.spack.archspec import ARCHSPEC_TARGETS, Microarchitecture, detect_target
-from repro.spack.concretizer import ConcretizationError, Concretizer
-from repro.spack.environment import MONTE_CIMONE_STACK, SpackEnvironment
-from repro.spack.installer import InstallError, Installer, InstallRecord
-from repro.spack.package import Dependency, PackageDefinition
-from repro.spack.repo import builtin_repo
-from repro.spack.spec import Spec, SpecParseError
-from repro.spack.version import Version, VersionRange
-
-__all__ = [
-    "ARCHSPEC_TARGETS",
-    "ConcretizationError",
-    "Concretizer",
-    "Dependency",
-    "InstallError",
-    "InstallRecord",
-    "Installer",
-    "MONTE_CIMONE_STACK",
-    "Microarchitecture",
-    "PackageDefinition",
-    "SpackEnvironment",
-    "Spec",
-    "SpecParseError",
-    "Version",
-    "VersionRange",
-    "builtin_repo",
-    "detect_target",
-]

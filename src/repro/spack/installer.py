@@ -30,13 +30,11 @@ class InstallError(RuntimeError):
 class InstallRecord:
     """One installed package instance."""
 
-    spec_string: str
     name: str
     version: str
     dag_hash: str
     prefix: str
     build_seconds: float
-    explicit: bool
 
 
 class Installer:
@@ -65,7 +63,7 @@ class Installer:
         return sorted(self._db.values(), key=lambda r: (r.name, r.version))
 
     # -- installation ------------------------------------------------------
-    def install(self, spec: Spec, explicit: bool = True) -> List[InstallRecord]:
+    def install(self, spec: Spec) -> List[InstallRecord]:
         """Install a concrete spec and its closure; returns new records.
 
         Already-installed nodes are skipped (the Spack behaviour that
@@ -84,10 +82,8 @@ class Installer:
             self.nfs.mkdir(prefix, parents=True)
             self.nfs.write(f"{prefix}/.spack-spec", str(node).encode())
             record = InstallRecord(
-                spec_string=str(node), name=node.name,
-                version=str(node.version), dag_hash=dag_hash, prefix=prefix,
-                build_seconds=definition.build_seconds_u74,
-                explicit=explicit and node.name == spec.name)
+                name=node.name, version=str(node.version), dag_hash=dag_hash,
+                prefix=prefix, build_seconds=definition.build_seconds_u74)
             self._db[dag_hash] = record
             self._register_module(node, prefix)
             new_records.append(record)

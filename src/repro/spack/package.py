@@ -39,7 +39,6 @@ class PackageDefinition:
 
     name: str
     versions: List[str]
-    description: str = ""
     dependencies: List[Dependency] = field(default_factory=list)
     variants: Dict[str, bool] = field(default_factory=dict)
     #: Approximate build cost in seconds on the U740 (drives install-time

@@ -11,21 +11,3 @@ node from 71 °C to 39 °C.
 * :mod:`repro.thermal.enclosure` — per-slot airflow → thermal resistance.
 * :mod:`repro.thermal.runaway` — trip detection and the mitigation story.
 """
-
-from repro.thermal.dtm import ClusterDTM, GovernorEvent, ThermalGovernor
-from repro.thermal.enclosure import Enclosure, EnclosureConfig, SlotPosition
-from repro.thermal.model import NodeThermalModel, ThermalRC
-from repro.thermal.runaway import ThermalEvent, ThermalWatchdog
-
-__all__ = [
-    "ClusterDTM",
-    "Enclosure",
-    "EnclosureConfig",
-    "GovernorEvent",
-    "NodeThermalModel",
-    "SlotPosition",
-    "ThermalEvent",
-    "ThermalGovernor",
-    "ThermalRC",
-    "ThermalWatchdog",
-]

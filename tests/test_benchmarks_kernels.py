@@ -15,9 +15,6 @@ from repro.benchmarks.kernels import (
     blocked_lu,
     hpl_residual,
     lu_solve,
-    stream_add,
-    stream_copy,
-    stream_scale,
     stream_triad,
 )
 
@@ -25,21 +22,6 @@ RNG = np.random.default_rng(42)
 
 
 class TestStreamKernels:
-    def test_copy(self):
-        a, c = RNG.normal(size=100), np.zeros(100)
-        stream_copy(a, c)
-        assert np.array_equal(c, a)
-
-    def test_scale(self):
-        c, b = RNG.normal(size=100), np.zeros(100)
-        stream_scale(b, c, scalar=3.0)
-        assert np.allclose(b, 3.0 * c)
-
-    def test_add(self):
-        a, b, c = RNG.normal(size=100), RNG.normal(size=100), np.zeros(100)
-        stream_add(a, b, c)
-        assert np.allclose(c, a + b)
-
     def test_triad(self):
         b, c = RNG.normal(size=100), RNG.normal(size=100)
         a = np.zeros(100)

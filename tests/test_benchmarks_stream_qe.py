@@ -47,10 +47,6 @@ class TestTableV:
         measured = self.RESULTS["STREAM.L2"].kernel_mean(kernel)
         assert measured == pytest.approx(expected, rel=0.01)
 
-    def test_regimes_detected(self):
-        assert self.RESULTS["STREAM.DDR"].regime == "ddr"
-        assert self.RESULTS["STREAM.L2"].regime == "l2"
-
     def test_ddr_best_fraction_15_5_percent(self):
         # §V-A: "no more than 15.5% of the available peak bandwidth".
         assert self.RESULTS["STREAM.DDR"].best_fraction_of_peak == \

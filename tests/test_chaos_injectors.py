@@ -18,7 +18,7 @@ from repro.cluster.node import ComputeNode
 from repro.cluster.services.base import ServiceUnavailableError
 from repro.cluster.services.ldap import LDAPServer
 from repro.cluster.services.nfs import NFSServer
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.events.backoff import ExponentialBackoff
 from repro.examon.broker import BrokerUnavailableError, MQTTBroker
 from repro.examon.payload import decode_payload
@@ -89,18 +89,18 @@ class TestBrokerOutage:
         broker = MQTTBroker()
         broker.go_offline()
         with pytest.raises(BrokerUnavailableError):
-            broker.publish("t", b"1;0", 0.0)
+            broker.publish("t", b"1;0")
         assert broker.publish_rejects == 1
         broker.restore()
-        broker.publish("t", b"1;0", 0.0)
+        broker.publish("t", b"1;0")
 
     def test_subscriptions_survive_an_outage(self):
         broker = MQTTBroker()
         seen = []
-        broker.subscribe("c", "#", seen.append)
+        broker.subscribe("#", seen.append)
         broker.go_offline()
         broker.restore()
-        broker.publish("a/b", b"1;0", 0.0)
+        broker.publish("a/b", b"1;0")
         assert len(seen) == 1
 
     def test_plugin_buffers_and_backfills_into_tsdb(self):
@@ -151,18 +151,6 @@ class TestBrokerOutage:
         # Reconnect attempts are spaced out, not every sampling instant:
         # a 2 Hz daemon makes ~80 instants in 40 s but far fewer probes.
         assert 0 < plugin.reconnect_attempts < 20
-
-    def test_slow_broker_degrades_cadence_without_wedging(self):
-        engine = Engine()
-        broker = MQTTBroker()
-        broker.set_slow(0.5)
-        plugin = PmuPubPlugin(booted_node(), broker)  # period 0.5 s
-        engine.spawn(plugin.run(engine))
-        engine.run(until=10.0)
-        plugin.stop()
-        # Effective period doubles (0.5 s publish penalty + 0.5 s sleep).
-        assert plugin.samples_taken == pytest.approx(11, abs=1)
-        assert plugin.slow_publishes > 0
 
 
 def two_node_model(latency_s=1e-5):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.node import ComputeNode, NodeState
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.power.model import HPL_PROFILE, NodePhase
 from repro.slurm.job import JobState
 from tests.test_slurm import make_controller

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.events import Engine, SimulationError, UnconsumedFailureError
-from repro.events.engine import AllOf, AnyOf
+from repro.events.engine import (Engine, SimulationError,
+                                 UnconsumedFailureError)
 
 
 class TestClock:

@@ -11,8 +11,9 @@ pass vacuously.
 
 import pytest
 
-from repro.events import (Engine, Interrupt, SimulationError,
-                          UnconsumedFailureError)
+from repro.events.engine import (Engine, SimulationError,
+                                 UnconsumedFailureError)
+from repro.events.process import Interrupt
 
 
 class TestUnconsumedFailures:

@@ -29,7 +29,7 @@ from repro.cluster.cluster import MonteCimoneCluster
 from repro.events.engine import Engine
 from repro.events.process import Interrupt
 from repro.examon.deployment import ExamonDeployment
-from repro.obs import attach_tracer
+from repro.obs.instrument import attach_tracer
 from repro.power.model import HPL_PROFILE
 from repro.slurm.api import SlurmAPI
 from repro.thermal.enclosure import EnclosureConfig

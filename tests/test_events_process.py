@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.events import Engine, Interrupt, SimulationError
+from repro.events.engine import Engine, SimulationError
+from repro.events.process import Interrupt
 
 
 def test_process_runs_and_returns_value():

@@ -7,7 +7,7 @@ from repro.examon.broker import BrokerUnavailableError, MQTTBroker
 from repro.examon.payload import decode_payload
 from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import TABLE_III_METRICS, StatsPubPlugin
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.hardware.hpm import FIXED_EVENTS, PROGRAMMABLE_EVENTS
 from repro.power.model import HPL_PROFILE
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
@@ -47,7 +47,7 @@ class TestPmuPub:
     def test_publish_once_encodes_table_ii_payload(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("test", "#", received.append)
+        broker.subscribe("#", received.append)
         plugin = PmuPubPlugin(booted_node(), broker)
         count = plugin.publish_once(30.0)
         assert count == len(received)
@@ -81,7 +81,7 @@ class TestPmuPub:
         node = booted_node(patched_uboot=False)
         broker = MQTTBroker()
         received = []
-        broker.subscribe("test", "#", received.append)
+        broker.subscribe("#", received.append)
         plugin = PmuPubPlugin(node, broker)
         perf = node.board.perf
         asked, reads = [], []

@@ -39,14 +39,14 @@ class TestTSDB:
         broker = MQTTBroker()
         db = TimeSeriesDB()
         db.attach(broker, "#")
-        broker.publish("sensor/t", "42.5;100.0", timestamp_s=100.0)
+        broker.publish("sensor/t", "42.5;100.0")
         assert db.query("sensor/t") == [(100.0, 42.5)]
 
     def test_malformed_payload_counted_not_stored(self):
         broker = MQTTBroker()
         db = TimeSeriesDB()
         db.attach(broker, "#")
-        broker.publish("sensor/t", "garbage", timestamp_s=1.0)
+        broker.publish("sensor/t", "garbage")
         assert db.decode_errors == 1
         assert db.points_stored == 0
 

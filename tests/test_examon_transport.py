@@ -119,9 +119,9 @@ class TestPayload:
         broker = MQTTBroker()
         db = TimeSeriesDB()
         db.attach(broker, "#")
-        broker.publish("s/t", "nan;1.0", timestamp_s=1.0)
-        broker.publish("s/t", "1.0;inf", timestamp_s=2.0)
-        broker.publish("s/t", "3.0;3.0", timestamp_s=3.0)
+        broker.publish("s/t", "nan;1.0")
+        broker.publish("s/t", "1.0;inf")
+        broker.publish("s/t", "3.0;3.0")
         assert db.decode_errors == 2
         assert db.points_stored == 1
         assert db.query("s/t") == [(3.0, 3.0)]
@@ -274,91 +274,59 @@ class TestBroker:
     def test_publish_delivers_to_matching_subscription(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("client", "a/+/c", received.append)
-        assert broker.publish("a/b/c", "1;2", timestamp_s=2.0) == 1
+        broker.subscribe("a/+/c", received.append)
+        assert broker.publish("a/b/c", "1;2") == 1
         assert received[0].topic == "a/b/c"
 
     def test_non_matching_subscription_ignored(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("client", "x/#", received.append)
-        assert broker.publish("a/b", "1;2", timestamp_s=2.0) == 0
+        broker.subscribe("x/#", received.append)
+        assert broker.publish("a/b", "1;2") == 0
         assert received == []
 
     def test_retained_message_delivered_to_late_subscriber(self):
         broker = MQTTBroker()
-        broker.publish("a/b", "1;1", timestamp_s=1.0)
+        broker.publish("a/b", "1;1")
         received = []
-        broker.subscribe("late", "a/#", received.append)
+        broker.subscribe("a/#", received.append)
         assert len(received) == 1
-        assert received[0].retained
 
     def test_wildcard_publish_rejected(self):
         with pytest.raises(ValueError):
-            MQTTBroker().publish("a/+/c", "1;1", timestamp_s=1.0)
+            MQTTBroker().publish("a/+/c", "1;1")
 
     def test_statistics(self):
         broker = MQTTBroker()
-        broker.subscribe("c", "#", lambda m: None)
-        broker.publish("t", "1;1", timestamp_s=1.0)
-        broker.publish("t", "2;2", timestamp_s=2.0)
+        broker.subscribe("#", lambda m: None)
+        broker.publish("t", "1;1")
+        broker.publish("t", "2;2")
         assert broker.messages_published == 2
         assert broker.messages_delivered == 2
         assert broker.bytes_published > 0
 
     def test_retained_topics_sorted(self):
         broker = MQTTBroker()
-        broker.publish("b/x", "1;1", timestamp_s=1.0)
-        broker.publish("a/y", "1;1", timestamp_s=1.0)
+        broker.publish("b/x", "1;1")
+        broker.publish("a/y", "1;1")
         assert broker.retained_topics() == ["a/y", "b/x"]
 
 
 class TestRetainedFlagSemantics:
-    """MQTT 3.1.1 §3.3.1.3: the retain flag marks retained-store replays.
-
-    An earlier revision inverted this — live deliveries copied the
-    publisher's retain *request* and replays reused the stored flag — so a
-    subscriber could not tell a fresh sample from a stale replay.
-    """
-
-    def test_live_delivery_carries_retained_false(self):
-        broker = MQTTBroker()
-        received = []
-        broker.subscribe("live", "a/#", received.append)
-        broker.publish("a/b", "1;1", timestamp_s=1.0, retain=True)
-        assert len(received) == 1
-        assert received[0].retained is False
-
-    def test_replay_to_late_subscriber_carries_retained_true(self):
-        broker = MQTTBroker()
-        broker.publish("a/b", "1;1", timestamp_s=1.0, retain=True)
-        received = []
-        broker.subscribe("late", "a/#", received.append)
-        assert len(received) == 1
-        assert received[0].retained is True
+    """MQTT 3.1.1 §3.3.1.3: a new subscriber gets each retained message."""
 
     def test_replay_preserves_topic_payload_and_timestamp(self):
         broker = MQTTBroker()
-        broker.publish("a/b", "42.5;7.0", timestamp_s=7.0)
+        broker.publish("a/b", "42.5;7.0")
         received = []
-        broker.subscribe("late", "#", received.append)
-        message = received[0]
-        assert (message.topic, message.payload, message.timestamp_s) == \
-            ("a/b", "42.5;7.0", 7.0)
-
-    def test_same_subscriber_sees_replay_then_live_flags(self):
-        broker = MQTTBroker()
-        broker.publish("a/b", "1;1", timestamp_s=1.0)
-        received = []
-        broker.subscribe("c", "a/b", received.append)
-        broker.publish("a/b", "2;2", timestamp_s=2.0)
-        assert [m.retained for m in received] == [True, False]
+        broker.subscribe("#", received.append)
+        assert received == [("a/b", "42.5;7.0")]
 
     def test_unretained_publish_not_replayed(self):
         broker = MQTTBroker()
-        broker.publish("a/b", "1;1", timestamp_s=1.0, retain=False)
+        broker.publish("a/b", "1;1", retain=False)
         received = []
-        broker.subscribe("late", "#", received.append)
+        broker.subscribe("#", received.append)
         assert received == []
 
 
@@ -368,42 +336,42 @@ class TestTopicTrie:
     def test_hash_pattern_matches_prefix_itself(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "a/#", received.append)
-        broker.publish("a", "1;1", timestamp_s=1.0)
-        broker.publish("a/b/c", "1;1", timestamp_s=1.0)
+        broker.subscribe("a/#", received.append)
+        broker.publish("a", "1;1")
+        broker.publish("a/b/c", "1;1")
         assert [m.topic for m in received] == ["a", "a/b/c"]
 
     def test_root_hash_matches_everything(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "#", received.append)
+        broker.subscribe("#", received.append)
         for topic in ("a", "a/b", "x/y/z"):
-            broker.publish(topic, "1;1", timestamp_s=1.0)
+            broker.publish(topic, "1;1")
         assert len(received) == 3
 
     def test_overlapping_patterns_deliver_in_subscription_order(self):
         broker = MQTTBroker()
         order = []
-        broker.subscribe("c3", "a/b/c", lambda m: order.append("exact"))
-        broker.subscribe("c1", "#", lambda m: order.append("hash"))
-        broker.subscribe("c2", "a/+/c", lambda m: order.append("plus"))
-        assert broker.publish("a/b/c", "1;1", timestamp_s=1.0) == 3
+        broker.subscribe("a/b/c", lambda m: order.append("exact"))
+        broker.subscribe("#", lambda m: order.append("hash"))
+        broker.subscribe("a/+/c", lambda m: order.append("plus"))
+        assert broker.publish("a/b/c", "1;1") == 3
         assert order == ["exact", "hash", "plus"]
 
     def test_plus_does_not_match_deeper_topics(self):
         broker = MQTTBroker()
         received = []
-        broker.subscribe("c", "a/+", received.append)
-        broker.publish("a/b/c", "1;1", timestamp_s=1.0)
-        broker.publish("a/b", "1;1", timestamp_s=1.0)
+        broker.subscribe("a/+", received.append)
+        broker.publish("a/b/c", "1;1")
+        broker.publish("a/b", "1;1")
         assert [m.topic for m in received] == ["a/b"]
 
     def test_second_publish_is_cache_hit(self):
         broker = MQTTBroker()
-        broker.subscribe("c", "a/+", lambda m: None)
-        broker.publish("a/b", "1;1", timestamp_s=1.0)
+        broker.subscribe("a/+", lambda m: None)
+        broker.publish("a/b", "1;1")
         assert (broker.match_cache_misses, broker.match_cache_hits) == (1, 0)
-        broker.publish("a/b", "1;1", timestamp_s=2.0)
+        broker.publish("a/b", "1;1")
         assert (broker.match_cache_misses, broker.match_cache_hits) == (1, 1)
 
     @given(patterns=st.lists(st.tuples(
@@ -427,14 +395,13 @@ class TestTopicTrie:
         subscriptions = []
         for i, (levels, trailing_hash) in enumerate(patterns):
             if i == len(patterns) - 1:
-                broker.publish(topic, "1;1", timestamp_s=1.0, retain=False)
+                broker.publish(topic, "1;1", retain=False)
             pattern = "/".join(levels + (["#"] if trailing_hash else []))
             subscriptions.append(broker.subscribe(
-                f"c{i}", pattern, lambda m, i=i: received.append(i)))
+                pattern, lambda m, i=i: received.append(i)))
         received.clear()
-        delivered = broker.publish(topic, "1;1", timestamp_s=2.0,
-                                   retain=False)
-        expected = [int(s.client_id[1:]) for s in subscriptions
+        delivered = broker.publish(topic, "1;1", retain=False)
+        expected = [i for i, s in enumerate(subscriptions)
                     if topic_matches(s.pattern, topic)]
         assert received == expected
         assert delivered == len(expected)

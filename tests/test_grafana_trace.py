@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import MonteCimoneCluster
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.examon.grafana import (
     build_cluster_dashboard,
     build_thermal_dashboard,

@@ -17,9 +17,6 @@ class TestBoardComposition:
         assert HiFiveUnmatched().infiniband is None
         assert HiFiveUnmatched(with_infiniband=True).infiniband is not None
 
-    def test_mini_itx_form_factor(self):
-        assert HiFiveUnmatched.FORM_FACTOR_MM == (170, 170)
-
     def test_perf_interface_covers_all_cores(self):
         board = HiFiveUnmatched()
         assert board.perf.core_ids == [0, 1, 2, 3]

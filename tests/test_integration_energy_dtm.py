@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.cluster import MonteCimoneCluster
 from repro.cluster.node import ComputeNode
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.power.model import HPL_PROFILE
 from repro.slurm.api import SlurmAPI
 from repro.thermal.dtm import ClusterDTM

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmarks.hpl import HPLModel
-from repro.perf.plots import render_scaling_plot, render_series
+from repro.perf.plots import render_scaling_plot
 from repro.perf.scaling import strong_scaling_table
 from repro.slurm.api import SlurmAPI
 from repro.slurm.job import JobState
@@ -52,15 +52,6 @@ class TestPlots:
     def test_scaling_plot_rejects_empty(self):
         with pytest.raises(ValueError):
             render_scaling_plot([])
-
-    def test_series_chart(self):
-        series = [(float(t), float(t * t)) for t in range(20)]
-        text = render_series(series, "quadratic")
-        assert "quadratic" in text
-        assert "*" in text
-
-    def test_series_empty(self):
-        assert "no data" in render_series([], "empty")
 
 
 class TestSbatchScriptAPI:

@@ -4,12 +4,10 @@ plus suppression-comment handling and the CLI exit-code contract."""
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.lint import all_rules, get_rule, lint_source
 from repro.lint.cli import main as lint_main
 from repro.lint.findings import Severity
-from repro.lint.runner import PARSE_RULE_ID, lint_paths
+from repro.lint.registry import all_rules
+from repro.lint.runner import PARSE_RULE_ID, lint_paths, lint_source
 from repro.lint.suppress import parse_suppressions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
@@ -30,11 +28,6 @@ class TestRegistry:
         rules = all_rules()
         assert len({r.id for r in rules}) == len(rules)
         assert all(r.id.startswith(r.family) for r in rules)
-
-    def test_get_rule_roundtrip(self):
-        assert get_rule("DET104").id == "DET104"
-        with pytest.raises(KeyError):
-            get_rule("NOPE999")
 
 
 class TestDeterminismRules:

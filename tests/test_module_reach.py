@@ -19,19 +19,30 @@ perfbench:
 * an attribute stored as ``self.x = ...`` must be read back: an
   ``Attribute`` load of ``x`` or ``x`` inside such a string.  A bare
   ``Name`` load does not count, because in ``self.x = x`` the parameter
-  ``x`` would keep every such attribute alive.
+  ``x`` would keep every such attribute alive;
+* a name bound in a class body (a dataclass or ``NamedTuple`` field, a
+  class constant) must be read back the same way, or as a bare ``Name``
+  load inside a class body (a constant used as a default value).  A
+  constructor keyword is a write, not a read.
 
-A package ``__init__.py`` re-exporting a submodule does not count as a
-use: the re-export would otherwise reach every module of its package.
+Every name has one import path: its defining module.  A package
+``__init__.py`` holds its docstring and imports nothing, so it can
+neither re-export a name nor make a whole package's modules look used,
+and every module imports on its own in a fresh interpreter, so no import
+cycle hides behind the order in which a facade used to load modules.
 The one exception is :mod:`repro.lint.rules`, whose ``__init__`` imports
 are how the rules register; for the same reason a class decorated with
-``@register`` needs no reference.  ``__main__`` modules are entry points
-(``python -m``) and dunders are called by Python itself.
+``@register`` needs no reference.  An ``__all__`` entry is not a use
+either: it lists a name, it does not read it.  ``__main__`` modules are
+entry points (``python -m``) and dunders are called by Python itself.
 """
 
 import ast
 import functools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Set, Tuple
 
@@ -64,8 +75,27 @@ ALLOWED_ATTRIBUTES = {
                         "that raised and opened an outage",
     "samples_dropped": "SamplingPlugin degradation counter: samples lost "
                        "to a full outage buffer",
-    "slow_publishes": "SamplingPlugin degradation counter: publishes that "
-                      "exceeded the broker latency budget",
+}
+#: Class-body names whose reader the AST cannot see, each with that
+#: reader.  Stale entries fail like the other allowlists.
+ALLOWED_CLASS_NAMES = {
+    "pre_mitigation_hot_node": "ThermalRunawayResult field read by "
+                               "repr(result): benchmarks/test_fig6_thermal.py "
+                               "FIG6_DIGEST and perfbench's fig6.result",
+    "post_mitigation_hot_node": "ThermalRunawayResult field read by "
+                                "repr(result): benchmarks/test_fig6_thermal."
+                                "py FIG6_DIGEST and perfbench's fig6.result",
+    "times": "Heatmap.times: the bucket start times that "
+             "tests/test_examon_golden.py hashes into FIG5_DIGESTS",
+    "backoff_s": "JobAttempt.backoff_s: read by repr(job.attempts) in the "
+                 "tests/test_node_golden.py NODE_DIGESTS",
+    "old_scale": "GovernorEvent.old_scale: read by repr(events) in the "
+                 "tests/test_node_golden.py NODE_DIGESTS dtm case",
+    "new_scale": "GovernorEvent.new_scale: read by repr(events) in the "
+                 "tests/test_node_golden.py NODE_DIGESTS dtm case",
+    "per_rail_j": "JobEnergyRecord.per_rail_j: computed with the job's "
+                  "energy; its first reader is the sacct-energy "
+                  "conservation check of ROADMAP item 3",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
@@ -85,6 +115,10 @@ class Scan(NamedTuple):
     methods: Dict[str, List[str]]
     #: ``self.x`` stores under ``src/repro`` -> "path:line" sites.
     stored_attributes: Dict[str, List[str]]
+    #: Names bound in class bodies under ``src/repro`` -> "path:line" sites.
+    class_names: Dict[str, List[str]]
+    #: Bare ``Name`` loads evaluated in a class body (defaults included).
+    class_body_loads: Set[str]
 
 
 def module_name(path: Path) -> str:
@@ -132,6 +166,49 @@ def _docstrings(tree: ast.Module) -> Set[int]:
     return found
 
 
+def _not_uses(tree: ast.Module, path: Path) -> Set[int]:
+    """ids of the nodes of one file that name a def without using it.
+
+    These are the strings of an ``__all__`` list and the aliases of a
+    package ``__init__`` that re-exports.
+    """
+    found: Set[int] = set()
+    facade = path.name == "__init__.py" and path not in REGISTERING_INITS
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(target, ast.Name) and target.id == "__all__"
+                   for target in targets):
+                found.update(id(child) for child in ast.walk(node))
+        elif facade and isinstance(node, ast.alias):
+            found.add(id(node))
+    return found
+
+
+def _class_body(node: ast.ClassDef):
+    """The nodes a class body evaluates, method bodies excluded."""
+    for member in node.body:
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for part in (*member.decorator_list, *member.args.defaults,
+                         *member.args.kw_defaults):
+                if part is not None:
+                    yield from ast.walk(part)
+        else:
+            yield from ast.walk(member)
+
+
+def _bound_names(node: ast.ClassDef):
+    """(name, line) of each name a class body assigns."""
+    for member in node.body:
+        targets = (member.targets if isinstance(member, ast.Assign)
+                   else [member.target] if isinstance(member, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, member.lineno
+
+
 def _is_registered(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "register"
                for d in node.decorator_list)
@@ -143,10 +220,12 @@ def _is_dunder(name: str) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def scan() -> Scan:
-    result = Scan(set(), set(), {}, {}, {})
+    result = Scan(set(), set(), {}, {}, {}, {}, set())
     for path, tree in scanned_trees():
-        docstrings = _docstrings(tree)
+        skipped = _docstrings(tree) | _not_uses(tree, path)
         for node in ast.walk(tree):
+            if id(node) in skipped:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 result.references.add(node.id)
             elif (isinstance(node, ast.Attribute)
@@ -160,7 +239,6 @@ def scan() -> Scan:
                 result.references.add(node.arg)
             elif (isinstance(node, ast.Constant)
                   and isinstance(node.value, str)
-                  and id(node) not in docstrings
                   and not any(char.isspace() for char in node.value)):
                 tokens = _IDENTIFIER.findall(node.value)
                 result.references.update(tokens)
@@ -173,6 +251,14 @@ def scan() -> Scan:
                    if isinstance(member, (ast.FunctionDef,
                                           ast.AsyncFunctionDef))}
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                result.class_body_loads.update(
+                    child.id for child in _class_body(node)
+                    if isinstance(child, ast.Name)
+                    and isinstance(child.ctx, ast.Load))
+                for name, line in _bound_names(node):
+                    result.class_names.setdefault(name, []).append(
+                        f"{where}:{line}")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if isinstance(node, ast.ClassDef) and _is_registered(node):
@@ -208,9 +294,54 @@ def unread_attributes() -> Dict[str, List[str]]:
             if not _is_dunder(name) and name not in found.attribute_loads}
 
 
+def unread_class_names() -> Dict[str, List[str]]:
+    found = scan()
+    return {name: sites for name, sites in found.class_names.items()
+            if not _is_dunder(name) and name not in found.attribute_loads
+            and name not in found.class_body_loads}
+
+
 def _render(hits: Dict[str, List[str]]) -> str:
     return "\n".join(f"  {name} ({', '.join(sites)})"
                      for name, sites in sorted(hits.items()))
+
+
+def test_package_inits_import_nothing():
+    importing = sorted(
+        str(path.relative_to(ROOT))
+        for path in (SRC / "repro").rglob("__init__.py")
+        if path not in REGISTERING_INITS
+        and any(isinstance(node, (ast.Import, ast.ImportFrom))
+                for node in ast.walk(ast.parse(path.read_text()))))
+    assert not importing, (
+        "package __init__ files that import (import each name from its "
+        "defining module instead): " + ", ".join(importing))
+
+
+#: Imports each module named on stdin into an interpreter that has loaded
+#: no other ``repro`` module, and prints the ones that fail.
+_IMPORT_EACH = """
+import importlib, sys
+for name in sys.stdin.read().split():
+    for loaded in [m for m in sys.modules if m.split(".")[0] == "repro"]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+
+def test_every_module_imports_on_its_own():
+    """A module that imports only after some other module has been
+    imported first hides an import cycle."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EACH], input=" ".join(
+            library_modules()), capture_output=True, text=True, env=env,
+        check=True)
+    assert not result.stdout, (
+        "modules that fail to import on their own:\n" + result.stdout)
 
 
 def test_every_module_is_imported_outside_tests():
@@ -251,13 +382,24 @@ def test_every_stored_attribute_is_read_outside_tests():
         "reads:\n" + _render(hits))
 
 
+def test_every_class_body_name_is_read_outside_tests():
+    hits = {name: sites for name, sites in unread_class_names().items()
+            if name not in ALLOWED_CLASS_NAMES}
+    assert not hits, (
+        "fields and class constants under src/repro that nothing outside "
+        "tests/ reads:\n" + _render(hits))
+
+
 def test_allowlists_hold_no_stale_entry():
     unreached, unread = unreached_methods(), unread_attributes()
+    unread_fields = unread_class_names()
     stale = sorted(
         [name for name in ALLOWED_METHODS if name not in unreached]
-        + [name for name in ALLOWED_ATTRIBUTES if name not in unread])
+        + [name for name in ALLOWED_ATTRIBUTES if name not in unread]
+        + [name for name in ALLOWED_CLASS_NAMES if name not in unread_fields])
     assert not stale, (
         "allowlisted names that are gone or now used outside tests/ "
         "(drop them from the allowlist): " + ", ".join(stale))
     assert all(reason.strip() for reason in
-               [*ALLOWED_METHODS.values(), *ALLOWED_ATTRIBUTES.values()])
+               [*ALLOWED_METHODS.values(), *ALLOWED_ATTRIBUTES.values(),
+                *ALLOWED_CLASS_NAMES.values()])

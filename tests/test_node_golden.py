@@ -169,7 +169,7 @@ def test_fig3_series_digest():
     lines = []
     for workload, groups in traces.items():
         for group, trace in groups.items():
-            lines.append(trace.label)
+            lines.append(f"{workload}/{group}")
             lines.extend(repr(p) for p in trace.power_w.tolist())
     assert digest(lines) == FIG3_DIGEST
 
@@ -179,7 +179,7 @@ def test_fig4_boot_trace_digest():
     lines = []
     for group in RAIL_GROUPS:
         trace = synth.boot_trace(group)
-        lines.append(trace.label)
+        lines.append(f"boot/{group}")
         lines.extend(repr(p) for p in trace.power_w.tolist())
     assert digest(lines) == FIG4_DIGEST
 

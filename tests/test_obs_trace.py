@@ -7,9 +7,11 @@ import pytest
 
 from repro import __main__ as cli
 from repro.events.engine import Engine, UnconsumedFailureError
-from repro.obs import (NULL_SPAN, MetricsRegistry, Tracer, attach_tracer,
-                       chrome_trace_json, span_of, span_tree_text,
-                       to_chrome_trace, validate_chrome_trace)
+from repro.obs.export import (chrome_trace_json, span_tree_text,
+                              to_chrome_trace, validate_chrome_trace)
+from repro.obs.instrument import attach_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_SPAN, span_of
 from repro.obs.experiments import trace_boot_power, trace_fault_recovery
 
 

@@ -9,7 +9,7 @@ accounting identities (wait/elapsed nonnegative).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.slurm.job import JobState
 from repro.slurm.partition import NodeAllocState, Partition, SlurmNodeInfo
 from repro.slurm.scheduler import SlurmController

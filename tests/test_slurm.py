@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.slurm.job import Job, JobState
 from repro.slurm.partition import NodeAllocState, Partition, SlurmNodeInfo
 from repro.slurm.scheduler import SlurmController

@@ -9,7 +9,7 @@ requeue-after-thermal-trip path of the Fig. 6 incident response.
 
 import pytest
 
-from repro.events import Engine
+from repro.events.engine import Engine
 from repro.slurm.accounting import render_sacct
 from repro.slurm.api import SlurmAPI
 from repro.slurm.job import JobState

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import paper
-from repro.hardware.specs import MARCONI100_NODE, U740_SPEC
-from repro.spack.archspec import ARCHSPEC_TARGETS, detect_target
+from repro.spack.archspec import ARCHSPEC_TARGETS
 from repro.spack.concretizer import ConcretizationError, Concretizer
 from repro.spack.environment import MONTE_CIMONE_STACK, SpackEnvironment
 from repro.spack.installer import InstallError, Installer
@@ -20,26 +19,10 @@ class TestArchspec:
         # was already present".
         target = ARCHSPEC_TARGETS["u74mc"]
         assert target.triple == "linux-sifive-u74mc"
-        assert {"zba", "zbb"} <= set(target.features)
-
-    def test_detect_u740(self):
-        assert detect_target(U740_SPEC).name == "u74mc"
-
-    def test_detect_power9(self):
-        assert detect_target(MARCONI100_NODE.soc).name == "power9"
 
     def test_gcc_flags_for_u74mc(self):
         flags = ARCHSPEC_TARGETS["u74mc"].gcc_flags()
         assert "-march=rv64gc" in flags and "sifive-7-series" in flags
-
-    def test_unknown_riscv_falls_back_to_family(self):
-        from repro.hardware.specs import SoCSpec, CacheSpec, MemorySpec
-
-        unknown = SoCSpec(name="Mystery V", isa="RV64GC", n_cores=2,
-                          clock_hz=1e9, issue_width=1,
-                          flops_per_cycle_per_core=1.0,
-                          l2=U740_SPEC.l2, memory=U740_SPEC.memory)
-        assert detect_target(unknown).name == "riscv64"
 
 
 class TestRepository:
