@@ -2,8 +2,21 @@
 
 import pytest
 
+from repro.analysis.validate import CLAIMS
 from repro.benchmarks.hpl import HPLConfig, HPLModel
 from repro.hardware.specs import MARCONI100_NODE, MONTE_CIMONE_NODE
+
+
+def assert_claim_holds(title: str, measured: float) -> None:
+    """Judge one model output against its claim in the claims ledger.
+
+    The paper value and its bound are declared once, in ``CLAIMS``; these
+    unit tests feed the model's own run through that claim, so a model
+    regression fails here under the claim's name.
+    """
+    check = next(claim for claim in CLAIMS
+                 if claim.title == title).judge(measured)
+    assert check.passed, check
 
 
 class TestHPLConfig:
@@ -36,6 +49,17 @@ class TestHPLConfig:
 class TestSingleNode:
     RESULT = HPLModel().run()
 
+    def test_gflops_matches_paper(self):
+        assert_claim_holds("§V-A HPL 1-node gflops", self.RESULT.gflops.mean)
+
+    def test_efficiency_46_5_percent(self):
+        assert_claim_holds("§V-A HPL 1-node fraction_of_peak",
+                           self.RESULT.efficiency)
+
+    def test_runtime_near_24105_s(self):
+        assert_claim_holds("§V-A HPL 1-node runtime_s",
+                           self.RESULT.runtime_s.mean)
+
     def test_no_communication_single_node(self):
         assert self.RESULT.comm_time_s == 0.0
 
@@ -50,6 +74,23 @@ class TestSingleNode:
 
 class TestStrongScaling:
     POINTS = HPLModel().strong_scaling()
+
+    def test_full_machine_gflops(self):
+        assert_claim_holds("Fig. 2 HPL 8-node gflops",
+                           self.POINTS[8].gflops.mean)
+
+    def test_full_machine_efficiency_39_5_percent(self):
+        assert_claim_holds("Fig. 2 HPL 8-node fraction_of_peak",
+                           self.POINTS[8].efficiency)
+
+    def test_fraction_of_linear_85_percent(self):
+        speedup = self.POINTS[8].gflops.mean / self.POINTS[1].gflops.mean
+        assert_claim_holds("Fig. 2 HPL 8-node fraction_of_linear",
+                           speedup / 8)
+
+    def test_full_machine_runtime(self):
+        assert_claim_holds("Fig. 2 HPL 8-node runtime_s",
+                           self.POINTS[8].runtime_s.mean)
 
     def test_scaling_is_monotone(self):
         gflops = [self.POINTS[n].gflops.mean for n in (1, 2, 4, 8)]

@@ -10,7 +10,12 @@ from repro.benchmarks.stream import (
     StreamConfig,
     StreamModel,
 )
-from repro.hardware.specs import ARMIDA_NODE, MARCONI100_NODE
+from repro.hardware.specs import (
+    ARMIDA_NODE,
+    L2_SPEC,
+    MARCONI100_NODE,
+    MONTE_CIMONE_NODE,
+)
 
 
 class TestStreamConfig:
@@ -46,6 +51,20 @@ class TestTableV:
     def test_l2_kernels(self, kernel, expected):
         measured = self.RESULTS["STREAM.L2"].kernel_mean(kernel)
         assert measured == pytest.approx(expected, rel=0.01)
+
+    def test_regimes_detected(self):
+        # The 1945.5 MiB set streams from DDR, the 1.1 MiB set from L2:
+        # each column attains its own regime's fraction of that regime's
+        # peak.
+        for kernel in STREAM_KERNELS:
+            ddr = self.RESULTS["STREAM.DDR"].kernel_mean(kernel) * 1e6
+            l2 = self.RESULTS["STREAM.L2"].kernel_mean(kernel) * 1e6
+            assert ddr == pytest.approx(
+                StreamModel.DDR_FRACTIONS[kernel]
+                * MONTE_CIMONE_NODE.peak_bandwidth, rel=0.01)
+            assert l2 == pytest.approx(
+                StreamModel.L2_FRACTIONS[kernel]
+                * L2_SPEC.bandwidth_bytes_per_s, rel=0.01)
 
     def test_ddr_best_fraction_15_5_percent(self):
         # §V-A: "no more than 15.5% of the available peak bandwidth".

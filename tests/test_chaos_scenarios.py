@@ -11,7 +11,7 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.chaos.check import backfill_coverage, run_checks, verify_recovery
-from repro.chaos.faults import ChaosLog
+from repro.chaos.faults import ChaosLog, FaultKind
 from repro.chaos.scenarios import SCENARIOS, run_scenario
 from repro.examon.tsdb import TimeSeriesDB
 
@@ -56,6 +56,14 @@ class TestInvariants:
 
     def test_service_outage_replayed_the_queue(self, results):
         assert results["service-outage"].extras["job_id"] is not None
+
+    def test_every_fault_kind_is_injected_by_a_scenario(self, results):
+        # A fault kind that no campaign injects is checked by no invariant.
+        kinds = {value for name, value in vars(FaultKind).items()
+                 if name.isupper()}
+        injected = {event.kind for result in results.values()
+                    for event in result.log.injections()}
+        assert kinds == injected
 
 
 class TestDeterminism:

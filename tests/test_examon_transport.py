@@ -329,6 +329,32 @@ class TestRetainedFlagSemantics:
         broker.subscribe("#", received.append)
         assert received == []
 
+    def test_replay_holds_only_the_latest_sample(self):
+        broker = MQTTBroker()
+        broker.publish("a/b", "1;1")
+        broker.publish("a/b", "2;2")
+        received = []
+        broker.subscribe("a/b", received.append)
+        assert received == [("a/b", "2;2")]
+
+    def test_same_subscriber_sees_replay_then_live(self):
+        broker = MQTTBroker()
+        broker.publish("a/b", "1;1")
+        received = []
+        broker.subscribe("a/b", received.append)
+        broker.publish("a/b", "2;2")
+        assert received == [("a/b", "1;1"), ("a/b", "2;2")]
+
+    def test_live_subscriber_is_not_replayed_to_again(self):
+        # A replay goes to the subscription being made, never to the
+        # subscribers that already received the message live.
+        broker = MQTTBroker()
+        early = []
+        broker.subscribe("a/#", early.append)
+        broker.publish("a/b", "1;1")
+        broker.subscribe("a/#", lambda m: None)
+        assert early == [("a/b", "1;1")]
+
 
 class TestTopicTrie:
     """Matching over the topic tree: wildcards, order, the match cache."""

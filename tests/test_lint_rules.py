@@ -1,6 +1,9 @@
 """Per-rule tests for simlint: every family has positive and negative cases,
 plus suppression-comment handling and the CLI exit-code contract."""
 
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from repro.lint.runner import PARSE_RULE_ID, lint_paths, lint_source
 from repro.lint.suppress import parse_suppressions
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ids(source, **kwargs):
@@ -28,6 +32,16 @@ class TestRegistry:
         rules = all_rules()
         assert len({r.id for r in rules}) == len(rules)
         assert all(r.id.startswith(r.family) for r in rules)
+
+    def test_rules_load_on_demand(self):
+        # No package __init__ preloads the rule modules, so all_rules()
+        # must register them in an interpreter that imported nothing else.
+        count = subprocess.run(
+            [sys.executable, "-c", "from repro.lint.registry import "
+             "all_rules; print(len(all_rules()))"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC))).stdout
+        assert int(count) == len(all_rules())
 
 
 class TestDeterminismRules:

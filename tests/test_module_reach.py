@@ -43,8 +43,9 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -220,8 +221,13 @@ def _is_dunder(name: str) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def scan() -> Scan:
+    return scan_trees(scanned_trees())
+
+
+def scan_trees(trees) -> Scan:
+    """Scan ``(path, tree)`` pairs laid out as the repository is."""
     result = Scan(set(), set(), {}, {}, {}, {}, set())
-    for path, tree in scanned_trees():
+    for path, tree in trees:
         skipped = _docstrings(tree) | _not_uses(tree, path)
         for node in ast.walk(tree):
             if id(node) in skipped:
@@ -276,26 +282,26 @@ def scan() -> Scan:
     return result
 
 
-def unreferenced_definitions() -> Dict[str, List[str]]:
-    found = scan()
+def unreferenced_definitions(found: Optional[Scan] = None) -> Dict[str, List[str]]:
+    found = found if found is not None else scan()
     return {name: sites for name, sites in found.definitions.items()
             if not _is_dunder(name) and name not in found.references}
 
 
-def unreached_methods() -> Dict[str, List[str]]:
-    found = scan()
+def unreached_methods(found: Optional[Scan] = None) -> Dict[str, List[str]]:
+    found = found if found is not None else scan()
     return {name: sites for name, sites in found.methods.items()
             if not _is_dunder(name) and name not in found.attribute_loads}
 
 
-def unread_attributes() -> Dict[str, List[str]]:
-    found = scan()
+def unread_attributes(found: Optional[Scan] = None) -> Dict[str, List[str]]:
+    found = found if found is not None else scan()
     return {name: sites for name, sites in found.stored_attributes.items()
             if not _is_dunder(name) and name not in found.attribute_loads}
 
 
-def unread_class_names() -> Dict[str, List[str]]:
-    found = scan()
+def unread_class_names(found: Optional[Scan] = None) -> Dict[str, List[str]]:
+    found = found if found is not None else scan()
     return {name: sites for name, sites in found.class_names.items()
             if not _is_dunder(name) and name not in found.attribute_loads
             and name not in found.class_body_loads}
@@ -403,3 +409,143 @@ def test_allowlists_hold_no_stale_entry():
     assert all(reason.strip() for reason in
                [*ALLOWED_METHODS.values(), *ALLOWED_ATTRIBUTES.values(),
                 *ALLOWED_CLASS_NAMES.values()])
+
+
+# -- the guard's own rules, on in-memory files ------------------------------
+def scan_sources(sources: Dict[str, str]) -> Scan:
+    """Scan source texts as if they sat at these repository paths."""
+    return scan_trees(tuple(
+        (ROOT / name, ast.parse(textwrap.dedent(text)))
+        for name, text in sources.items()))
+
+
+def test_rule_all_entry_is_not_a_use():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        __all__ = ["helper"]
+        def helper():
+            pass
+    """})
+    assert "helper" in unreferenced_definitions(found)
+
+
+def test_rule_facade_alias_is_not_a_use():
+    found = scan_sources({
+        "src/repro/pkg/__init__.py": "from repro.pkg.mod import helper\n",
+        "src/repro/pkg/mod.py": "def helper():\n    pass\n"})
+    assert "helper" in unreferenced_definitions(found)
+
+
+def test_rule_import_from_the_defining_module_is_a_use():
+    found = scan_sources({
+        "src/repro/pkg/mod.py": "def helper():\n    pass\n",
+        "examples/demo.py": "from repro.pkg.mod import helper\n"})
+    assert "helper" not in unreferenced_definitions(found)
+
+
+def test_rule_registering_init_import_is_a_use():
+    found = scan_sources({
+        "src/repro/lint/rules/__init__.py":
+            "from repro.lint.rules.det import helper\n",
+        "src/repro/lint/rules/det.py": "def helper():\n    pass\n"})
+    assert "helper" not in unreferenced_definitions(found)
+
+
+def test_rule_docstring_mention_is_not_a_use():
+    found = scan_sources({"src/repro/pkg/mod.py": '''
+        """helper"""
+        def helper():
+            pass
+    '''})
+    assert "helper" in unreferenced_definitions(found)
+
+
+def test_rule_identifier_string_is_a_use():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        class Probe:
+            def sample(self):
+                pass
+        def read(probe):
+            return getattr(probe, "sample")
+        read(Probe())
+    """})
+    assert "sample" not in unreached_methods(found)
+    assert "Probe" not in unreferenced_definitions(found)
+
+
+def test_rule_bare_name_does_not_reach_a_method():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        class Probe:
+            def sample(self):
+                pass
+        sample = Probe()
+        print(sample)
+    """})
+    assert "sample" in unreached_methods(found)
+
+
+def test_rule_stored_attribute_needs_an_attribute_read():
+    unread = scan_sources({"src/repro/pkg/mod.py": """
+        class Probe:
+            def __init__(self, rate):
+                self.rate = rate
+        print(Probe(2))
+    """})
+    read = scan_sources({"src/repro/pkg/mod.py": """
+        class Probe:
+            def __init__(self, rate):
+                self.rate = rate
+        print(Probe(2).rate)
+    """})
+    assert "rate" in unread_attributes(unread)
+    assert "rate" not in unread_attributes(read)
+
+
+def test_rule_constructor_keyword_is_not_a_field_read():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        class Spec(NamedTuple):
+            level: int
+        print(Spec(level=2))
+    """})
+    assert "level" in unread_class_names(found)
+
+
+def test_rule_class_body_default_is_a_read():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        class Plugin:
+            DEFAULT_HZ = 2.0
+            LIMIT = 8
+            hz: float = DEFAULT_HZ
+            def resize(self, limit=LIMIT):
+                return limit
+    """})
+    unread = unread_class_names(found)
+    assert "DEFAULT_HZ" not in unread and "LIMIT" not in unread
+    assert "hz" in unread
+
+
+def test_rule_method_body_name_is_not_a_class_body_read():
+    found = scan_sources({"src/repro/pkg/mod.py": """
+        class Plugin:
+            DEFAULT_HZ = 2.0
+            def rate(self):
+                return DEFAULT_HZ
+    """})
+    assert "DEFAULT_HZ" in unread_class_names(found)
+
+
+def test_rule_registered_class_needs_no_reference():
+    found = scan_sources({"src/repro/lint/rules/det.py": """
+        @register
+        class WallClockRule:
+            pass
+        class Unregistered:
+            pass
+    """})
+    unreferenced = unreferenced_definitions(found)
+    assert "WallClockRule" not in unreferenced
+    assert "Unregistered" in unreferenced
+
+
+def test_rule_only_library_code_defines():
+    found = scan_sources({"examples/demo.py": "def helper():\n    pass\n"})
+    assert "helper" not in unreferenced_definitions(found)
