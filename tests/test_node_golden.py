@@ -13,13 +13,20 @@ change anywhere shows up.
 * A node tripped mid-job and serviced back into the pool.
 * A node tripped hot and serviced at once, so the service waits for it
   to cool before the reboot.
+* A DTM run with per-job energy accounting, in which a stuck ``mb_temp``
+  and a ``cpu_temp`` dropout land on the idle node and the §V-C
+  mitigation is applied while it idles; the digest adds the energy
+  ledger and every node's retired instructions.
 * The Fig. 3 benchmark power series and the Fig. 4 boot traces.
 * The scalar phase modulation on a grid of sample times.
 """
 
 import pytest
 
+from repro.chaos.faults import ChaosLog
+from repro.chaos.injectors import SensorFaultInjector
 from repro.cluster.cluster import MonteCimoneCluster
+from repro.power.energy import JobEnergyAccounting
 from repro.power.model import (
     HPL_PROFILE,
     QE_PROFILE,
@@ -41,6 +48,8 @@ NODE_DIGESTS = {
         "c4a7330b2aacbd07754e3a06d4b67bb6de385e14e615f7a9edb52c87743291a9",
     "service_cooldown":
         "6a8d5ed0ca06d627ffe909a52950b26db29d4bcdde9633eaf98f87da8c858f34",
+    "settle_points":
+        "3f230640b635f8724a8a765d92f41898700b8bc4db9ab6e5ec90fdb0d3799d98",
 }
 
 FIG3_DIGEST = (
@@ -154,11 +163,43 @@ def run_service_cooldown():
     return cluster_digest(cluster, [victim, repr(job.state), repr(job.attempts)])
 
 
+def run_settle_points():
+    # The runaway-prone enclosure under DTM, with per-job energy
+    # accounting.  mc-node-8 idles while the first four jobs run: its
+    # board sensor sticks and its SoC sensor drops out in windows that
+    # open and close between watchdog ticks, and the mitigation lands
+    # while it idles and mc-node-5 runs a job.
+    cluster = _booted(EnclosureConfig.original())
+    engine = cluster.engine
+    start = engine.now
+    ledger = JobEnergyAccounting(cluster.slurm)
+    dtm = ClusterDTM(cluster.nodes, throttle_c=55.0, release_c=50.0)
+    dtm.start(engine)
+    log = ChaosLog()
+    sensors = cluster.nodes["mc-node-8"].board.hwmon.sensors
+    SensorFaultInjector(engine, log, "mc-node-8", sensors["mb_temp"],
+                        "mb_temp", mode="stuck").schedule_window(
+        start + 400.5, start + 700.25)
+    SensorFaultInjector(engine, log, "mc-node-8", sensors["cpu_temp"],
+                        "cpu_temp", mode="dropout").schedule_window(
+        start + 450.75, start + 650.5)
+    engine.call_at(start + 1000.5, cluster.apply_thermal_mitigation)
+    report = replay_trace(cluster.slurm, TRACE[:4])
+    cluster.run_for(600.3)
+    records = [f"{r.job_id} {r.energy_j!r} {sorted(r.per_rail_j.items())!r}"
+               for r in ledger.ledger]
+    instructions = [f"{hostname} {node.board.cores.total_instructions()}"
+                    for hostname, node in cluster.nodes.items()]
+    return cluster_digest(cluster, [repr(report), repr(dtm.all_events()),
+                                    log.dumps(), *records, *instructions])
+
+
 @pytest.mark.parametrize("case,run", [
     ("replay", run_replay),
     ("dtm", run_dtm),
     ("trip_and_service", run_trip_and_service),
     ("service_cooldown", run_service_cooldown),
+    ("settle_points", run_settle_points),
 ])
 def test_node_state_digest(case, run):
     assert run() == NODE_DIGESTS[case]
