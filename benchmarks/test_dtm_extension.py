@@ -45,6 +45,8 @@ def test_dtm_throttles_only_the_runaway_slot(benchmark, dtm_run):
 def test_dtm_throughput_cost_is_bounded(benchmark, dtm_run):
     """The throttled node loses clock, but far less than losing the node."""
     cluster, _dtm, _job = benchmark(lambda: dtm_run)
+    for node in cluster.nodes.values():
+        node.settle()
     node7 = cluster.nodes["mc-node-7"].board.cores.total_instructions()
     node1 = cluster.nodes["mc-node-1"].board.cores.total_instructions()
     ratio = node7 / node1

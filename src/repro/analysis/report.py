@@ -213,10 +213,12 @@ def generate_experiments_report(full_sim_duration_s: float = 600.0) -> str:
                            duration_s=full_sim_duration_s * 3,
                            profile=HPL_PROFILE)
     throttled = sorted({event.node for event in dtm.all_events()})
-    node7_instr = dtm_cluster.nodes["mc-node-7"].board.cores \
-        .total_instructions()
-    node1_instr = dtm_cluster.nodes["mc-node-1"].board.cores \
-        .total_instructions()
+    node7 = dtm_cluster.nodes["mc-node-7"]
+    node1 = dtm_cluster.nodes["mc-node-1"]
+    node7.settle()
+    node1.settle()
+    node7_instr = node7.board.cores.total_instructions()
+    node1_instr = node1.board.cores.total_instructions()
     sections.append("## Extension — §VI dynamic thermal management\n")
     sections.append(
         f"With the DTM governor active, the same HPL run in the *original* "

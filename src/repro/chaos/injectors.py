@@ -99,21 +99,25 @@ class FaultInjector:
 
 
 class SensorFaultInjector(FaultInjector):
-    """A hwmon sensor drops off the bus or freezes (Table IV hardware).
+    """A hwmon sensor of a node drops off the bus or freezes (Table IV
+    hardware).
 
     ``dropout`` recovery is *active*: the sampling plugin notices reads
     failing and records the recovery span at its first successful read
     (see ``SamplingPlugin.note_target_recovered``).  ``stuck`` is silent
     — reads keep succeeding with a frozen value — so the injector records
-    the recovery itself at repair time.
+    the recovery itself at repair time.  The node settles before each
+    flip, so a stuck sensor freezes at the reading of the node's last
+    tick and the ticks before the repair see the fault.
     """
 
-    def __init__(self, engine: Engine, log: ChaosLog, hostname: str,
-                 sensor: Any, sensor_name: str, mode: str = "dropout") -> None:
+    def __init__(self, engine: Engine, log: ChaosLog, node: Any,
+                 sensor_name: str, mode: str = "dropout") -> None:
         if mode not in ("dropout", "stuck"):
             raise ValueError(f"unknown sensor fault mode {mode!r}")
-        super().__init__(engine, log, target=f"{hostname}/{sensor_name}")
-        self.sensor = sensor
+        super().__init__(engine, log, target=f"{node.hostname}/{sensor_name}")
+        self.node = node
+        self.sensor = node.board.hwmon.sensors[sensor_name]
         self.mode = mode
 
     @property
@@ -122,12 +126,14 @@ class SensorFaultInjector(FaultInjector):
                 else FaultKind.SENSOR_STUCK)
 
     def _apply(self) -> None:
+        self.node.settle()
         if self.mode == "dropout":
             self.sensor.fail_dropout()
         else:
             self.sensor.fail_stuck()
 
     def _revert(self) -> None:
+        self.node.settle()
         self.sensor.repair()
 
     def _detail(self) -> str:

@@ -186,12 +186,10 @@ def scenario_sensor_dropout(seed: int = 0) -> ChaosRunResult:
                                     min_len_s=6.0, max_len_s=10.0)[0]
     log = ChaosLog()
     sensors = node.board.hwmon.sensors
-    dropout = SensorFaultInjector(engine, log, node.hostname,
-                                  sensors["cpu_temp"], "cpu_temp",
+    dropout = SensorFaultInjector(engine, log, node, "cpu_temp",
                                   mode="dropout")
     dropout.schedule_window(*dropout_window)
-    stuck = SensorFaultInjector(engine, log, node.hostname,
-                                sensors["mb_temp"], "mb_temp", mode="stuck")
+    stuck = SensorFaultInjector(engine, log, node, "mb_temp", mode="stuck")
     stuck.schedule_window(*stuck_window)
 
     engine.run(until=60.0)

@@ -152,7 +152,7 @@ class MonteCimoneCluster:
         self.enclosure.config = EnclosureConfig.mitigated()
         for node in self.nodes.values():
             if node.thermal is not None:
-                node.thermal.set_enclosure(self.enclosure)
+                node.set_enclosure(self.enclosure)
 
     def service_node(self, hostname: str, cool_below_c: float = 32.0,
                      cooldown_guard_s: float = 3600.0) -> None:

@@ -5,12 +5,19 @@ usage, paging, disk and network totals, interrupt/context-switch rates and
 process counts.  On the real node those come from /proc; here the node
 lifecycle feeds a :class:`ProcFS` whose accessors return the structured
 values the plugin publishes.
+
+The CPU, interrupt and load accounting is settled state: the node does
+not account each second as it passes, but hands over a run of equal
+ticks when something is about to read it (``ComputeNode.settle``), and
+:meth:`ProcFS.account_cpu` applies the run with the float operations, in
+the order, that one call per tick would make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Mapping, Optional
 
 __all__ = ["ProcFS", "CpuTimes"]
@@ -71,17 +78,20 @@ class ProcFS:
         self._cpu_memo: Optional[tuple] = None
 
     # -- lifecycle hooks -----------------------------------------------------
-    def account_cpu(self, dt_s: float, utilisation: float,
+    def account_cpu(self, dt_s: float, ticks: int, utilisation: float,
                     sys_fraction: float = 0.08, wait_fraction: float = 0.0) -> None:
-        """Advance the CPU time counters for ``dt_s`` of wall time.
+        """Advance the CPU time counters over ``ticks`` intervals of
+        ``dt_s`` wall time each.
 
         ``utilisation`` is the busy fraction across cores; of the busy
         share, ``sys_fraction`` is kernel time.  Interrupt and context-
         switch counters advance at activity-scaled rates.
 
-        The per-interval increments depend on the four arguments alone, so
-        the last set is kept, keyed on all four; the counters accumulate
-        them every call, in the same order as a fresh evaluation.
+        The per-interval increments depend on the four rates alone, so
+        the last set is kept, keyed on all four.  The float counters and
+        load averages then take ``ticks`` updates in turn, ending on the
+        bits ``ticks`` separate intervals give; the integer counters take
+        one product.
         """
         memo = self._cpu_memo
         if (memo is None or memo[0] != dt_s or memo[1] != utilisation
@@ -93,13 +103,13 @@ class ProcFS:
             if any(math.isnan(x)
                    for x in (utilisation, sys_fraction, wait_fraction)):
                 raise ValueError("NaN utilisation or fraction")
-            ticks = dt_s * self.USER_HZ * self.n_cores
-            busy = ticks * utilisation
-            wait = ticks * wait_fraction
+            ticks_hz = dt_s * self.USER_HZ * self.n_cores
+            busy = ticks_hz * utilisation
+            wait = ticks_hz * wait_fraction
             memo = self._cpu_memo = (
                 dt_s, utilisation, sys_fraction, wait_fraction,
                 busy * (1.0 - sys_fraction), busy * sys_fraction, wait,
-                max(ticks - busy - wait, 0.0),
+                max(ticks_hz - busy - wait, 0.0),
                 int(dt_s * (250 + 4000 * utilisation)),
                 int(dt_s * (500 + 9000 * utilisation)),
                 # Exponentially-smoothed load averages driven by the run
@@ -110,15 +120,20 @@ class ProcFS:
         (_, _, _, _, usr, system, wait, idl, interrupts, context_switches,
          runnable, gain_1m, gain_5m, gain_15m) = memo
         cpu = self.cpu
-        cpu.usr += usr
-        cpu.sys += system
-        cpu.wai += wait
-        cpu.idl += idl
-        self.interrupts_total += interrupts
-        self.context_switches_total += context_switches
-        self.load_1m += gain_1m * (runnable - self.load_1m)
-        self.load_5m += gain_5m * (runnable - self.load_5m)
-        self.load_15m += gain_15m * (runnable - self.load_15m)
+        cpu_usr, cpu_sys, cpu_wai, cpu_idl = cpu.usr, cpu.sys, cpu.wai, cpu.idl
+        load_1m, load_5m, load_15m = self.load_1m, self.load_5m, self.load_15m
+        for _ in repeat(None, ticks):
+            cpu_usr += usr
+            cpu_sys += system
+            cpu_wai += wait
+            cpu_idl += idl
+            load_1m += gain_1m * (runnable - load_1m)
+            load_5m += gain_5m * (runnable - load_5m)
+            load_15m += gain_15m * (runnable - load_15m)
+        cpu.usr, cpu.sys, cpu.wai, cpu.idl = cpu_usr, cpu_sys, cpu_wai, cpu_idl
+        self.load_1m, self.load_5m, self.load_15m = load_1m, load_5m, load_15m
+        self.interrupts_total += interrupts * ticks
+        self.context_switches_total += context_switches * ticks
 
     def update_memory(self, usage: Mapping[str, int]) -> None:
         """Mirror the DDR subsystem's usage split (used/free/buff/cach)."""

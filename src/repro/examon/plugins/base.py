@@ -142,7 +142,7 @@ class SamplingPlugin(ABC):
         published = 0
         try:
             for topic, value in metrics.items():
-                publish(topic, encode(value, now_s), now_s)
+                publish(topic, encode(value, now_s))
                 published += 1
         except BrokerUnavailableError:
             self._buffer_metrics(dict(islice(metrics.items(), published,

@@ -62,6 +62,7 @@ class PmuPubPlugin(SamplingPlugin):
         ``l2_miss``, ``load_store``) — the exact difference §IV-B
         describes.
         """
+        self.node.settle()
         perf = self.node.board.perf
         read = perf.read
         core_topics = self._core_topics

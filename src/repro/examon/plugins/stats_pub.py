@@ -59,6 +59,7 @@ class StatsPubPlugin(SamplingPlugin):
     def sample(self, now_s: float) -> Dict[str, float]:
         """Collect every Table III metric for this node."""
         node = self.node
+        node.settle()
         procfs = node.procfs
         board = node.board
         values: Dict[str, float] = {}

@@ -50,7 +50,7 @@ class HiFiveUnmatched:
             InfinibandHCA(installed=True) if with_infiniband else None)
         self.rails = RailSet()
         self.hwmon = HwmonTree()
-        #: hwmon0, which :meth:`sync_nvme_temperature` writes every tick.
+        #: hwmon0, which :meth:`sync_nvme_temperature` writes.
         self._nvme_sensor = self.hwmon.sensors["nvme_temp"]
         self.perf = PerfEventsInterface(core.hpm for core in self.cores)
 

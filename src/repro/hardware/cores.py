@@ -1,25 +1,31 @@
 """The U74-MC core complex: four U74 application cores plus one S7 core.
 
 Each :class:`U74Core` is a *cycle-approximate analytic* model: it does not
-execute instructions, but it accounts for them.  Workload models (HPL,
-STREAM, QE-LAX) drive cores through :meth:`U74Core.advance`, declaring how
-many seconds of activity elapsed and with which instructions-per-cycle and
-floating-point intensity; the core updates its architectural counters
-(CYCLE, INSTRET, plus programmable HPM events) that the monitoring stack
-later samples through perf_events — exactly the path pmu_pub uses on the
-real machine (§IV-B).
+execute instructions, but it accounts for them.  A :class:`CoreActivity`
+declares how many seconds of activity elapsed and with which
+instructions-per-cycle and floating-point intensity; its counter
+increments reach every core through :meth:`CoreComplex.advance` (busy
+slices) or :meth:`CoreComplex.idle`, which sum the increments of a run of
+back-to-back slices and apply them once per core with
+:meth:`U74Core.advance`.  The architectural counters (CYCLE, INSTRET, plus
+programmable HPM events) are what the monitoring stack later samples
+through perf_events — exactly the path pmu_pub uses on the real machine
+(§IV-B).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from repro.hardware.hpm import HPMUnit
 from repro.hardware.specs import SoCSpec, U740_SPEC
 
 __all__ = ["U74Core", "S7Core", "CoreComplex", "CoreActivity"]
+
+#: (cycles, instructions, fp_ops, l2_miss, load_store) counter increments.
+Counts = Tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,8 @@ class CoreActivity:
     utilisation:
         Busy fraction within ``duration_s`` (1.0 = fully busy).
 
-    An activity is a value: the node hands one instance to every core of
-    the complex, every idle core shares one per interval, and
+    An activity is a value: every core of the complex runs the same
+    slice, idle intervals of one length share one instance, and
     :meth:`counts` works out the counter increments on first use and
     reuses them for the rest.
     """
@@ -72,8 +78,7 @@ class CoreActivity:
         if not self.l2_miss_rate >= 0:
             raise ValueError(f"negative l2_miss_rate {self.l2_miss_rate}")
 
-    def counts(self, clock_hz: float,
-               max_ipc: float) -> Tuple[int, int, int, int, int]:
+    def counts(self, clock_hz: float, max_ipc: float) -> Counts:
         """(cycles, instructions, fp_ops, l2_miss, load_store) increments.
 
         The increments of a core clocked at ``clock_hz`` whose issue rate
@@ -83,24 +88,42 @@ class CoreActivity:
         memo = self._counts_memo
         if memo is not None and memo[0] == clock_hz and memo[1] == max_ipc:
             return memo[2]
-        busy_s = self.duration_s * self.utilisation
-        cycles = int(clock_hz * self.duration_s)
-        busy_cycles = int(clock_hz * busy_s)
-        instructions = int(busy_cycles * min(self.ipc, max_ipc))
-        counts = (cycles, instructions,
-                  int(instructions * self.flop_fraction),
-                  int(instructions * self.l2_miss_rate),
-                  int(instructions * 0.3))
+        counts = self.run_counts((self.ipc,), clock_hz, max_ipc)
         # The memo is not a field; a frozen dataclass sets it this way.
         object.__setattr__(self, "_counts_memo", (clock_hz, max_ipc, counts))
         return counts
+
+    def run_counts(self, ipcs: Iterable[float], clock_hz: float,
+                   max_ipc: float) -> Counts:
+        """The summed increments of back-to-back slices, one per entry of
+        ``ipcs``, that differ from this activity only in their
+        instructions-per-cycle.
+
+        Each slice adds what :meth:`counts` gives for an activity with
+        that ``ipc``; the integers sum the same in any grouping.
+        """
+        busy_s = self.duration_s * self.utilisation
+        cycles = int(clock_hz * self.duration_s)
+        busy_cycles = int(clock_hz * busy_s)
+        flop_fraction, l2_miss_rate = self.flop_fraction, self.l2_miss_rate
+        slices = instructions = fp_ops = l2_miss = load_store = 0
+        for ipc in ipcs:
+            if not ipc >= 0:  # also rejects NaN
+                raise ValueError(f"negative ipc {ipc}")
+            retired = int(busy_cycles * min(ipc, max_ipc))
+            instructions += retired
+            fp_ops += int(retired * flop_fraction)
+            l2_miss += int(retired * l2_miss_rate)
+            load_store += int(retired * 0.3)
+            slices += 1
+        return (slices * cycles, instructions, fp_ops, l2_miss, load_store)
 
 
 @lru_cache(maxsize=8)
 def _idle_activity(duration_s: float) -> CoreActivity:
     """OS-idle time: cycles tick, few instructions retire.
 
-    Activities are immutable, so every core idling for the same interval
+    Activities are immutable, so every idle interval of the same length
     shares one instance (ticks are almost always one simulated second).
     """
     return CoreActivity(duration_s=duration_s, ipc=0.02, utilisation=0.01)
@@ -109,8 +132,7 @@ def _idle_activity(duration_s: float) -> CoreActivity:
 class U74Core:
     """One 64-bit U74 application core.
 
-    The core tracks architectural counters and an activity level that the
-    power model converts into rail currents.  It supports the three RISC-V
+    The core tracks architectural counters.  It supports the three RISC-V
     privilege modes only insofar as the counters are concerned (user-mode
     sampling reads the same CSRs the kernel virtualises through perf).
     """
@@ -122,7 +144,6 @@ class U74Core:
         self.core_id = core_id
         self.soc = soc
         self.hpm = HPMUnit(core_id=core_id)
-        self._current_utilisation = 0.0
         self._clock_on = False
 
     # -- lifecycle ----------------------------------------------------------
@@ -140,25 +161,22 @@ class U74Core:
         return self._clock_on
 
     # -- accounting ----------------------------------------------------------
-    @property
-    def utilisation(self) -> float:
-        """Instantaneous busy fraction, as the OS would report it."""
-        return self._current_utilisation
+    def advance(self, counts: Counts) -> None:
+        """Account for executed work: add ``counts`` to the counters.
 
-    def advance(self, activity: CoreActivity) -> None:
-        """Account for a slice of executed work.
-
-        Updates CYCLE, INSTRET and the programmable HPM counters; the
-        programmable events are discarded while the bank is disabled,
-        mirroring hardware counters that are simply not counting.  The
-        clock must be running; calling this on a gated core is a modelling
-        bug.  The increments need no check: ``CoreActivity`` validates
-        every field, so each is a non-negative integer.
+        ``counts`` is the :meth:`CoreActivity.counts` result of one slice,
+        or the sum of those of back-to-back slices; integer addition makes
+        one sum the same as one addition per slice.  Updates CYCLE,
+        INSTRET and the programmable HPM counters; the programmable events
+        are discarded while the bank is disabled, mirroring hardware
+        counters that are simply not counting.  The clock must be running;
+        calling this on a gated core is a modelling bug.  The increments
+        need no check: ``CoreActivity`` validates every field, so each is
+        a non-negative integer.
         """
         if not self._clock_on:
             raise RuntimeError(f"core {self.core_id}: advance() with clock gated")
-        cycles, instructions, fp_ops, l2_miss, load_store = activity.counts(
-            self.soc.clock_hz, self.MAX_IPC)
+        cycles, instructions, fp_ops, l2_miss, load_store = counts
         hpm = self.hpm
         hpm.cycle += cycles
         hpm.instret += instructions
@@ -167,15 +185,9 @@ class U74Core:
             events["fp_ops"] += fp_ops
             events["l2_miss"] += l2_miss
             events["load_store"] += load_store
-        self._current_utilisation = activity.utilisation
-
-    def idle(self, duration_s: float) -> None:
-        """Account for OS-idle time (cycles tick, few instructions retire)."""
-        self.advance(_idle_activity(duration_s))
-        self._current_utilisation = 0.0
 
     def __repr__(self) -> str:
-        return f"U74Core(id={self.core_id}, util={self._current_utilisation:.2f})"
+        return f"U74Core(id={self.core_id}, instret={self.hpm.instret})"
 
 
 class S7Core:
@@ -203,9 +215,10 @@ class S7Core:
 class CoreComplex:
     """The heterogeneous U74-MC complex: 4× U74 + 1× S7.
 
-    Provides aggregate views the monitoring plugins and the power model
-    consume: total utilisation, per-core counter access, aggregate retired
-    FLOPs (used by benchmark validation).
+    Provides the views the monitoring plugins and benchmark validation
+    consume: per-core counter access and aggregate retired instructions.
+    Every application core runs the same slices, so the complex works out
+    a run's increments once and hands them to each core.
     """
 
     def __init__(self, soc: SoCSpec = U740_SPEC) -> None:
@@ -230,22 +243,23 @@ class CoreComplex:
         """True once the complex has been clocked."""
         return self.monitor_core.clock_running
 
-    @property
-    def utilisation(self) -> float:
-        """Mean busy fraction across application cores."""
-        return sum(c.utilisation for c in self.cores) / len(self.cores)
-
     def total_instructions(self) -> int:
         """Sum of INSTRET over all application cores."""
         return sum(c.hpm.instret for c in self.cores)
 
-    def idle(self, duration_s: float) -> None:
-        """Advance every core through an OS-idle interval.
-
-        Does what :meth:`U74Core.idle` does on each core, with the shared
-        idle activity looked up once for the whole complex.
-        """
-        activity = _idle_activity(duration_s)
+    def advance(self, activity: CoreActivity, ipcs: Iterable[float]) -> None:
+        """Run every application core through back-to-back busy slices:
+        ``activity`` at each of ``ipcs`` in turn
+        (:meth:`CoreActivity.run_counts`), summed, then applied once per
+        core."""
+        counts = activity.run_counts(ipcs, self.soc.clock_hz, U74Core.MAX_IPC)
         for core in self.cores:
-            core.advance(activity)
-            core._current_utilisation = 0.0
+            core.advance(counts)
+
+    def idle(self, duration_s: float, ticks: int) -> None:
+        """Advance every core through ``ticks`` OS-idle intervals of
+        ``duration_s`` each."""
+        counts = tuple(n * ticks for n in _idle_activity(duration_s).counts(
+            self.soc.clock_hz, U74Core.MAX_IPC))
+        for core in self.cores:
+            core.advance(counts)

@@ -7,11 +7,20 @@ reports nine lines; :data:`RAIL_NAMES` reproduces them in the paper's
 order.  The rails are the *measurement* layer — the power *model*
 (:mod:`repro.power.model`) decides how many milliwatts each rail draws;
 the rail object holds that draw and keeps its energy integral.
+
+A rail's power is read every second (the board total heats the SoC), but
+its energy integral only when someone asks for it.  The node therefore
+hands its per-second ticks over in runs, through :meth:`RailSet.hold`,
+which integrates the held powers over each tick of the run in order, as
+one ``set_powers`` call per tick would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional
+from functools import reduce
+from itertools import islice, repeat
+from operator import add, mul, sub
+from typing import Dict, Iterable, Iterator, Optional, Sequence
 
 __all__ = ["PowerRail", "RailSet", "RAIL_NAMES"]
 
@@ -130,6 +139,31 @@ class RailSet:
         if len(powers_w) == len(rails):
             self._held = dict(powers_w)
             self._held_s = now_s
+
+    def hold(self, powers_w: Dict[str, float], times: Sequence[float]) -> None:
+        """Do what ``set_powers(powers_w, t)`` does for each of ``times``.
+
+        ``powers_w`` names every rail.  The first time may change powers;
+        after it every rail holds ``powers_w``, so each later time only
+        adds ``P·dt`` to each rail, one addition per time in order, with
+        the ``dt`` between consecutive ``times``.
+        """
+        if len(powers_w) != len(self._rails):
+            raise ValueError("hold needs a power for every rail")
+        self.set_powers(powers_w, times[0])
+        if len(times) == 1:
+            return
+        steps = list(map(sub, islice(times, 1, None), times))
+        if not min(steps) >= 0:  # also rejects a NaN time
+            raise ValueError(
+                f"time went backwards on the rails before {times[-1]}")
+        for rail in self._rails.values():
+            power = rail._power_w
+            if power:  # a zero power adds nothing, whatever its sign
+                rail._energy_j = reduce(add, map(mul, repeat(power), steps),
+                                        rail._energy_j)
+            rail._last_update_s = times[-1]
+        self._held_s = times[-1]
 
     def total_w(self) -> float:
         """True total board power, watts: the rails summed in order once

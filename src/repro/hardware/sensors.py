@@ -10,9 +10,11 @@ mb_temp    /sys/class/hwmon/hwmon1/temp1_input
 cpu_temp   /sys/class/hwmon/hwmon1/temp2_input
 =========  ====================================
 
-stats_pub reads these files at 0.2 Hz; the thermal model writes them.  The
-hwmon convention reports millidegrees Celsius as integer strings, which is
-what :meth:`HwmonTree.read` returns.
+stats_pub reads these files at 0.2 Hz; the thermal model writes them:
+``cpu_temp`` every simulated second, ``mb_temp`` and ``nvme_temp`` when
+the node settles (``ComputeNode.settle``).  The hwmon convention reports
+millidegrees Celsius as integer strings, which is what
+:meth:`HwmonTree.read` returns.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class ThermalSensor:
     #: Fault-injection state: ``None`` (healthy), ``"dropout"`` (reads
     #: raise :class:`SensorReadError`) or ``"stuck"`` (the reading froze
     #: at the value it had when the fault landed; updates are ignored).
+    #: The owning node settles before a fault lands or clears, so that
+    #: value is the node's last tick's.
     failure_mode: Optional[str] = None
 
     def set(self, temperature_c: float) -> None:

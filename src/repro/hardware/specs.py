@@ -53,7 +53,6 @@ class SoCSpec:
     """An application SoC as seen by the performance/power models."""
 
     name: str
-    isa: str
     n_cores: int
     clock_hz: float
     flops_per_cycle_per_core: float
@@ -127,7 +126,6 @@ DDR_SPEC = MemorySpec(
 #: micro-architecture specification) => 4.0 GFLOP/s per chip.
 U740_SPEC = SoCSpec(
     name="SiFive Freedom U740",
-    isa="RV64GCB",
     n_cores=4,
     clock_hz=1.2e9,
     flops_per_cycle_per_core=1.0e9 / 1.2e9,  # 1.0 GFLOP/s at 1.2 GHz
@@ -150,14 +148,13 @@ MONTE_CIMONE_NODE = NodeSpec(
 # --------------------------------------------------------------------------
 # Comparison nodes (same upstream-stack benchmarking boundary conditions)
 # --------------------------------------------------------------------------
-def _comparator(name: str, isa: str, n_cores: int, clock_hz: float,
+def _comparator(name: str, n_cores: int, clock_hz: float,
                 flops_per_cycle: float, mem_bw: float, dram: int,
                 hpl_fraction: float, stream_fraction: float,
                 n_sockets: int = 2) -> NodeSpec:
     """Build a comparison-node spec with a generic cache description."""
     soc = SoCSpec(
         name=name,
-        isa=isa,
         n_cores=n_cores,
         clock_hz=clock_hz,
         flops_per_cycle_per_core=flops_per_cycle,
@@ -174,7 +171,7 @@ def _comparator(name: str, isa: str, n_cores: int, clock_hz: float,
 #: Marconi100 node (CINECA): 2× IBM POWER9 AC922, CPU-only peak considered.
 #: Upstream HPL attains 59.7% of CPU-only peak; upstream STREAM 48.2% (§V-A).
 MARCONI100_NODE = _comparator(
-    name="Marconi100 Power9", isa="ppc64le",
+    name="Marconi100 Power9",
     n_cores=16, clock_hz=3.1e9, flops_per_cycle=8.0,
     mem_bw=140e9, dram=256 * GIB,
     hpl_fraction=0.597, stream_fraction=0.482,
@@ -183,7 +180,7 @@ MARCONI100_NODE = _comparator(
 #: Armida node (E4): 2× Marvell ThunderX2 CN9980 (ARMv8a).
 #: Upstream HPL attains 65.79% of peak; upstream STREAM 63.21% (§V-A).
 ARMIDA_NODE = _comparator(
-    name="Armida ThunderX2", isa="armv8a",
+    name="Armida ThunderX2",
     n_cores=32, clock_hz=2.2e9, flops_per_cycle=8.0,
     mem_bw=160e9, dram=256 * GIB,
     hpl_fraction=0.6579, stream_fraction=0.6321,

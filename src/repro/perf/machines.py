@@ -44,7 +44,6 @@ class MachineComparison:
     """One machine's row in the comparison table."""
 
     machine: str
-    isa: str
     hpl_fraction: float
     stream_fraction: float
 
@@ -70,7 +69,6 @@ def compare_machine(node: NodeSpec, seed: int = 2022) -> MachineComparison:
                                         seed=seed + 5)
     return MachineComparison(
         machine=node.name,
-        isa=node.soc.isa,
         hpl_fraction=hpl.efficiency,
         stream_fraction=stream.best_fraction_of_peak,
     )

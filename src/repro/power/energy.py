@@ -67,9 +67,12 @@ class JobEnergyAccounting:
                 if hostname in self.controller.compute_nodes}
 
     def _snapshot(self, job: Job) -> Dict[str, Dict[str, float]]:
+        nodes = self._bound_nodes(job)
+        for node in nodes.values():
+            node.settle()
         return {hostname: {rail.name: rail.energy_j
                            for rail in node.board.rails}
-                for hostname, node in self._bound_nodes(job).items()}
+                for hostname, node in nodes.items()}
 
     def _on_job_end(self, job: Job) -> None:
         start = self._start_snapshots.pop(job.job_id, None)

@@ -11,7 +11,7 @@ with the ``u74mc`` entry and the GCC flags it maps to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["Microarchitecture", "ARCHSPEC_TARGETS"]
 
@@ -22,9 +22,7 @@ class Microarchitecture:
 
     name: str
     vendor: str
-    family: str                       # ISA family (riscv64, ppc64le, aarch64)
     compiler_flags: Dict[str, str] = field(default_factory=dict)
-    parent: Optional[str] = None
 
     @property
     def triple(self) -> str:
@@ -39,20 +37,18 @@ class Microarchitecture:
 #: The archspec 0.1.3 database slice this project uses.
 ARCHSPEC_TARGETS: Dict[str, Microarchitecture] = {
     "riscv64": Microarchitecture(
-        name="riscv64", vendor="generic", family="riscv64",
+        name="riscv64", vendor="generic",
         compiler_flags={"gcc": "-march=rv64gc -mabi=lp64d"}),
     "u74mc": Microarchitecture(
-        name="u74mc", vendor="SiFive", family="riscv64",
-        compiler_flags={"gcc": "-march=rv64gc -mabi=lp64d -mtune=sifive-7-series"},
-        parent="riscv64"),
+        name="u74mc", vendor="SiFive",
+        compiler_flags={"gcc": "-march=rv64gc -mabi=lp64d -mtune=sifive-7-series"}),
     "power9": Microarchitecture(
-        name="power9", vendor="IBM", family="ppc64le",
+        name="power9", vendor="IBM",
         compiler_flags={"gcc": "-mcpu=power9 -mtune=power9"}),
     "thunderx2": Microarchitecture(
-        name="thunderx2", vendor="Cavium", family="aarch64",
-        compiler_flags={"gcc": "-mcpu=thunderx2t99"},
-        parent="aarch64"),
+        name="thunderx2", vendor="Cavium",
+        compiler_flags={"gcc": "-mcpu=thunderx2t99"}),
     "aarch64": Microarchitecture(
-        name="aarch64", vendor="generic", family="aarch64",
+        name="aarch64", vendor="generic",
         compiler_flags={"gcc": "-march=armv8-a"}),
 }

@@ -68,9 +68,8 @@ class TestSensorFaults:
         node = booted_node()
         plugin = StatsPubPlugin(node, MQTTBroker(), sample_hz=1.0)
         engine.spawn(plugin.run(engine))
-        injector = SensorFaultInjector(engine, ChaosLog(), node.hostname,
-                                       node.board.hwmon.sensors["cpu_temp"],
-                                       "cpu_temp", mode="dropout")
+        injector = SensorFaultInjector(engine, ChaosLog(), node, "cpu_temp",
+                                       mode="dropout")
         injector.schedule_window(2.5, 5.5)
         engine.run(until=10.0)
         plugin.stop()

@@ -82,6 +82,7 @@ class TestWorkloadExecution:
         booted_node.begin_workload(HPL_PROFILE, 22.0)
         before = booted_node.board.cores.total_instructions()
         booted_node.advance(10.0)
+        booted_node.settle()
         assert booted_node.board.cores.total_instructions() > before
 
     def test_nan_step_rejected_before_the_clock_moves(self, booted_node):
@@ -90,13 +91,16 @@ class TestWorkloadExecution:
         core = booted_node.board.cores.cores[0]
         cycles = core.hpm.cycle
         booted_node.sync_to(22.0)  # one second after boot
+        booted_node.settle()
         assert core.hpm.cycle - cycles == int(core.soc.clock_hz)
 
     def test_sync_to_is_idempotent(self, booted_node):
         booted_node.begin_workload(HPL_PROFILE, 22.0)
         booted_node.sync_to(30.0)
+        booted_node.settle()
         cycles = booted_node.board.cores.cores[0].hpm.cycle
         booted_node.sync_to(30.0)  # same instant: no double counting
+        booted_node.settle()
         assert booted_node.board.cores.cores[0].hpm.cycle == cycles
 
     def test_slurm_job_on_engine_returns_node_to_idle(self):

@@ -55,6 +55,19 @@ class TestPmuPub:
         assert timestamp == 30.0
         assert value >= 0
 
+    def test_sample_at_time_zero_reaches_a_late_subscriber(self):
+        # ExaMon retains the last sample per topic; the instant t = 0 is
+        # a sampling instant like any other.
+        broker = MQTTBroker()
+        plugin = PmuPubPlugin(booted_node(), broker)
+        published = plugin.sample_and_publish(0.0)
+        assert published > 0
+        assert len(broker.retained_topics()) == published
+        late = []
+        broker.subscribe("#", late.append)
+        assert len(late) == published
+        assert {decode_payload(m.payload)[1] for m in late} == {0.0}
+
     def test_publish_once_counts_sample_when_broker_refuses(self):
         broker = MQTTBroker()
         plugin = PmuPubPlugin(booted_node(), broker)

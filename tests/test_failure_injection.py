@@ -88,6 +88,7 @@ class TestPowerCycleCoherence:
         api.sbatch("hpl", "a", nodes=1, duration_s=120.0,
                    profile=HPL_PROFILE)
         cluster.run_for(60.0)
+        node.settle()
         before = node.board.perf.read(0, "instructions")
         node.emergency_shutdown(cluster.engine.now)
         # Sampling a tripped node's counters must not raise (ExaMon keeps

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from repro.hardware.cores import CoreActivity, CoreComplex, U74Core
 
 
+def run(core, activity):
+    """One slice of ``activity`` on ``core``."""
+    core.advance(activity.counts(core.soc.clock_hz, core.MAX_IPC))
+
+
 @pytest.fixture
 def clocked_core():
     core = U74Core(core_id=0)
@@ -84,57 +89,65 @@ class TestU74Core:
         core = U74Core(core_id=0)
         core.power_on()
         with pytest.raises(RuntimeError, match="clock gated"):
-            core.advance(CoreActivity(duration_s=1.0))
+            run(core, CoreActivity(duration_s=1.0))
 
     def test_cycles_accumulate_at_clock_rate(self, clocked_core):
-        clocked_core.advance(CoreActivity(duration_s=2.0, ipc=1.0))
+        run(clocked_core, CoreActivity(duration_s=2.0, ipc=1.0))
         assert clocked_core.hpm.cycle == int(2.0 * 1.2e9)
 
     def test_instructions_respect_ipc(self, clocked_core):
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.5))
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.5))
         assert clocked_core.hpm.instret == pytest.approx(1.5 * 1.2e9, rel=1e-6)
 
     def test_ipc_clamped_at_dual_issue(self, clocked_core):
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.9))
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.9))
         first = clocked_core.hpm.instret
         other = U74Core(core_id=1)
         other.start_clock()
         # ipc above the hardware ceiling is clamped to 2.0 inside advance.
-        other.advance(CoreActivity(duration_s=1.0, ipc=2.0))
+        run(other, CoreActivity(duration_s=1.0, ipc=2.0))
         assert other.hpm.instret == int(2.0 * 1.2e9)
         assert first < other.hpm.instret
 
     def test_partial_utilisation_scales_instructions(self, clocked_core):
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.0,
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.0,
                                           utilisation=0.5))
         assert clocked_core.hpm.instret == pytest.approx(0.6e9, rel=1e-6)
 
     def test_flops_need_programmable_counters(self, clocked_core):
         # Stock U-Boot: the fp_ops counter silently reads zero.
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.0,
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.0,
                                           flop_fraction=0.5))
         assert clocked_core.hpm.snapshot()["fp_ops"] == 0
         clocked_core.hpm.enable_programmable()
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.0,
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.0,
                                           flop_fraction=0.5))
         assert clocked_core.hpm.snapshot()["fp_ops"] > 0
 
     def test_rejected_activity_changes_no_counter(self, clocked_core):
         clocked_core.hpm.enable_programmable()
-        clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.0,
+        run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.0,
                                           flop_fraction=0.4,
                                           l2_miss_rate=0.01))
         before = clocked_core.hpm.snapshot()
         for bad in ({"flop_fraction": -0.5}, {"l2_miss_rate": -0.01}):
             with pytest.raises(ValueError):
-                clocked_core.advance(CoreActivity(duration_s=1.0, ipc=1.0,
+                run(clocked_core, CoreActivity(duration_s=1.0, ipc=1.0,
                                                   **bad))
         assert clocked_core.hpm.snapshot() == before
 
-    def test_idle_reports_zero_utilisation(self, clocked_core):
-        clocked_core.idle(10.0)
-        assert clocked_core.utilisation == 0.0
-        assert clocked_core.hpm.cycle > 0
+    def test_advance_adds_summed_counts(self, clocked_core):
+        clocked_core.hpm.enable_programmable()
+        activity = CoreActivity(duration_s=1.0, ipc=1.0, flop_fraction=0.4,
+                                l2_miss_rate=0.01)
+        once = activity.counts(clocked_core.soc.clock_hz, U74Core.MAX_IPC)
+        clocked_core.advance(tuple(3 * n for n in once))
+        reference = U74Core(core_id=1)
+        reference.start_clock()
+        reference.hpm.enable_programmable()
+        for _ in range(3):
+            run(reference, activity)
+        assert clocked_core.hpm.snapshot() == reference.hpm.snapshot()
 
 
 class TestCoreComplex:
@@ -149,28 +162,46 @@ class TestCoreComplex:
         assert complex_.clock_running
         assert all(core.clock_running for core in complex_)
 
-    def test_utilisation_is_mean_across_cores(self):
-        complex_ = CoreComplex()
-        complex_.start_clocks()
-        complex_.cores[0].advance(CoreActivity(duration_s=1.0, utilisation=1.0))
-        for core in complex_.cores[1:]:
-            core.advance(CoreActivity(duration_s=1.0, utilisation=0.0))
-        assert complex_.utilisation == pytest.approx(0.25)
-
-    def test_idle_matches_per_core_idle(self):
+    def test_idle_run_matches_one_idle_slice_per_tick(self):
         complex_ = CoreComplex()
         complex_.start_clocks()
         reference = U74Core(core_id=0)
         reference.start_clock()
-        complex_.idle(7.5)
-        reference.idle(7.5)
+        complex_.idle(7.5, 3)
+        for _ in range(3):
+            run(reference, CoreActivity(duration_s=7.5, ipc=0.02,
+                                        utilisation=0.01))
         for core in complex_:
             assert core.hpm.snapshot() == reference.hpm.snapshot()
-            assert core.utilisation == 0.0
+
+    def test_busy_run_sums_each_slice(self):
+        complex_ = CoreComplex()
+        complex_.start_clocks()
+        reference = U74Core(core_id=0)
+        reference.start_clock()
+        activity = CoreActivity(duration_s=1.0, ipc=1.2, flop_fraction=0.4,
+                                l2_miss_rate=0.01, utilisation=0.7)
+        ipcs = [0.93, 1.21, 1.17, 2.6]
+        complex_.cores[0].hpm.enable_programmable()
+        reference.hpm.enable_programmable()
+        complex_.advance(activity, ipcs)
+        for ipc in ipcs:
+            run(reference, dataclasses.replace(activity, ipc=ipc))
+        assert complex_.cores[0].hpm.snapshot() == reference.hpm.snapshot()
+        for core in complex_.cores[1:]:
+            assert (core.hpm.cycle, core.hpm.instret) == (
+                reference.hpm.cycle, reference.hpm.instret)
+
+    def test_busy_run_rejects_a_negative_ipc_before_any_counter_moves(self):
+        complex_ = CoreComplex()
+        complex_.start_clocks()
+        with pytest.raises(ValueError, match="ipc"):
+            complex_.advance(CoreActivity(duration_s=1.0), [1.0, -0.5])
+        assert complex_.total_instructions() == 0
 
     def test_total_instructions_sums_cores(self):
         complex_ = CoreComplex()
         complex_.start_clocks()
         for core in complex_:
-            core.advance(CoreActivity(duration_s=1.0, ipc=1.0))
+            run(core, CoreActivity(duration_s=1.0, ipc=1.0))
         assert complex_.total_instructions() == 4 * int(1.2e9)

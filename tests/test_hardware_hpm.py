@@ -29,7 +29,7 @@ def work_counts(core):
 class TestHPMUnit:
     def test_fixed_counters_always_count(self):
         core = clocked_core()
-        core.advance(WORK)
+        core.advance(work_counts(core))
         cycles, instructions = work_counts(core)[:2]
         assert cycles > 0 and instructions > 0
         assert core.hpm.cycle == cycles
@@ -41,14 +41,14 @@ class TestHPMUnit:
         core = clocked_core()
         unit = core.hpm
         assert not unit.programmable_enabled
-        core.advance(WORK)
+        core.advance(work_counts(core))
         assert work_counts(core)[2] > 0
         assert unit.snapshot()["fp_ops"] == 0
 
     def test_uboot_patch_enables_counting(self):
         core = clocked_core()
         core.hpm.enable_programmable()
-        core.advance(WORK)
+        core.advance(work_counts(core))
         assert core.hpm.snapshot()["fp_ops"] == work_counts(core)[2] > 0
 
     def test_unknown_event_rejected(self):
@@ -60,13 +60,13 @@ class TestHPMUnit:
         core = clocked_core()
         unit = core.hpm
         cycles, instructions, fp_ops, l2_miss, load_store = work_counts(core)
-        core.advance(WORK)
+        core.advance(work_counts(core))
         # The programmable bank discards its three events while disabled.
         assert unit.snapshot() == {
             "cycles": cycles, "instructions": instructions, "fp_ops": 0,
             "l2_miss": 0, "load_store": 0}
         unit.enable_programmable()
-        core.advance(WORK)
+        core.advance(work_counts(core))
         assert (unit.cycle, unit.instret) == (2 * cycles, 2 * instructions)
         snap = unit.snapshot()
         assert [snap[e] for e in ("fp_ops", "l2_miss", "load_store")] == [

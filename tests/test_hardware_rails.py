@@ -54,3 +54,10 @@ class TestRailSet:
     def test_empty_rail_set_rejected(self):
         with pytest.raises(ValueError):
             RailSet([])
+
+
+def test_hold_needs_a_power_for_every_rail():
+    rails = RailSet()
+    with pytest.raises(ValueError, match="every rail"):
+        rails.hold({"core": 1.0}, [1.0, 2.0])
+    assert [rail.power_w for rail in rails] == [0.0] * len(RAIL_NAMES)

@@ -29,6 +29,7 @@ class TestEnergyIntegrals:
         node = ComputeNode(hostname="n")
         engine.run_until_complete(engine.spawn(node.boot_process(engine)))
         node.advance(3600.0)
+        node.settle()
         energy_after_boot = sum(rail.energy_j for rail in node.board.rails)
         # Idle hour at 4.81 W plus the boot's ~69 J.
         assert energy_after_boot == pytest.approx(4.81 * 3600.0 + 69.0,

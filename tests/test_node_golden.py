@@ -73,6 +73,7 @@ TRACE = [
 
 def node_state_lines(node):
     """Every counter, rail, procfs field and temperature of one node."""
+    node.settle()
     lines = [f"{node.hostname} {node.state.value} {node.phase.value} "
              f"{node.active_profile.name} {node.frequency_scale!r}"]
     for core in node.board.cores:
@@ -176,20 +177,23 @@ def run_settle_points():
     dtm = ClusterDTM(cluster.nodes, throttle_c=55.0, release_c=50.0)
     dtm.start(engine)
     log = ChaosLog()
-    sensors = cluster.nodes["mc-node-8"].board.hwmon.sensors
-    SensorFaultInjector(engine, log, "mc-node-8", sensors["mb_temp"],
-                        "mb_temp", mode="stuck").schedule_window(
+    idle_node = cluster.nodes["mc-node-8"]
+    SensorFaultInjector(engine, log, idle_node, "mb_temp",
+                        mode="stuck").schedule_window(
         start + 400.5, start + 700.25)
-    SensorFaultInjector(engine, log, "mc-node-8", sensors["cpu_temp"],
-                        "cpu_temp", mode="dropout").schedule_window(
+    SensorFaultInjector(engine, log, idle_node, "cpu_temp",
+                        mode="dropout").schedule_window(
         start + 450.75, start + 650.5)
     engine.call_at(start + 1000.5, cluster.apply_thermal_mitigation)
     report = replay_trace(cluster.slurm, TRACE[:4])
     cluster.run_for(600.3)
     records = [f"{r.job_id} {r.energy_j!r} {sorted(r.per_rail_j.items())!r}"
                for r in ledger.ledger]
-    instructions = [f"{hostname} {node.board.cores.total_instructions()}"
-                    for hostname, node in cluster.nodes.items()]
+    instructions = []
+    for hostname, node in cluster.nodes.items():
+        node.settle()
+        instructions.append(
+            f"{hostname} {node.board.cores.total_instructions()}")
     return cluster_digest(cluster, [repr(report), repr(dtm.all_events()),
                                     log.dumps(), *records, *instructions])
 

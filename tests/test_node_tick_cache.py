@@ -86,7 +86,7 @@ def test_rails_and_soc_match_uncached_models(booted, operations):
             clock += dt_s
         elif name == "set_enclosure":
             enclosure.config = args[0]
-            node.thermal.set_enclosure(enclosure)
+            node.set_enclosure(enclosure)
         else:
             method = getattr(node, name)
             try:
@@ -102,21 +102,37 @@ def test_rails_and_soc_match_uncached_models(booted, operations):
 
 class ShadowRails:
     """Nine standalone rails fed, through ``PowerRail.set_power``, every
-    dict a ``RailSet`` receives: the per-rail path, evaluated afresh."""
+    dict a ``RailSet`` receives, once per time a run of ticks hands to
+    ``RailSet.hold``: the per-rail path, evaluated afresh."""
 
     def __init__(self, rails):
         self.rails = rails
         self.reference = {rail.name: PowerRail(rail.name) for rail in rails}
         self.dicts = 0
-        real = rails.set_powers
+        self._holding = False
+        real_set, real_hold = rails.set_powers, rails.hold
 
-        def set_powers(powers_w, now_s):
+        def feed(powers_w, now_s):
             for name, power in powers_w.items():
                 self.reference[name].set_power(power, now_s)
             self.dicts += 1
-            real(powers_w, now_s)
+
+        def set_powers(powers_w, now_s):
+            if not self._holding:
+                feed(powers_w, now_s)
+            real_set(powers_w, now_s)
+
+        def hold(powers_w, times):
+            for now_s in times:
+                feed(powers_w, now_s)
+            self._holding = True
+            try:
+                real_hold(powers_w, times)
+            finally:
+                self._holding = False
 
         rails.set_powers = set_powers
+        rails.hold = hold
 
     def assert_identical(self):
         """Every rail's energy and timestamp, and the total, bit for bit.
@@ -165,16 +181,21 @@ def test_integrate_only_rails_match_per_rail_updates(operations):
     node.finish_boot(clock)
     for name, *args in operations:
         if name == "advance":
+            # Ticks pile up until the next operation settles them.
             node.advance(args[0])
             clock += args[0]
-        elif name == "partial":
+            continue
+        # A write straight into the harness is a transition the node
+        # does not see: it settles first, as its own transitions do.
+        node.settle()
+        if name == "partial":
             names, power_w = args
             rails.set_powers({rail: power_w for rail in names}, clock)
         elif name == "copy":
             rails.set_powers({rail.name: rail.power_w for rail in rails},
                              clock)
         elif name == "set_enclosure":
-            node.thermal.set_enclosure(Enclosure(args[0]))
+            node.set_enclosure(Enclosure(args[0]))
         else:
             method = getattr(node, name)
             try:
@@ -182,6 +203,8 @@ def test_integrate_only_rails_match_per_rail_updates(operations):
             except RuntimeError:
                 pass  # a transition the state machine refuses
         shadow.assert_identical()
+    node.settle()
+    shadow.assert_identical()
 
 
 def test_a_repeated_dict_makes_no_per_rail_update(monkeypatch):
@@ -294,6 +317,7 @@ def test_the_trip_release_reaches_procfs_on_the_next_boot():
     node.finish_boot(0.0)
     node.begin_workload(HPL_PROFILE, 0.0)
     node.advance(1.0)
+    node.settle()
     used = node.procfs.mem_used
     assert used == int(HPL_PROFILE.mem_fraction
                        * node.board.memory.capacity_bytes) > 0
@@ -302,9 +326,11 @@ def test_the_trip_release_reaches_procfs_on_the_next_boot():
     assert node.board.memory.usage()["used"] == 0
     # Off, the node does not tick procfs: it keeps the last mirrored view.
     node.advance(1.0)
+    node.settle()
     assert node.procfs.mem_used == used
     node.power_on(2.0)
     node.start_bootloader(2.0)
     node.finish_boot(2.0)
     node.advance(1.0)
+    node.settle()
     assert node.procfs.mem_used == 0

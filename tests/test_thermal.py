@@ -149,6 +149,8 @@ class TestNodeThermalModel:
         model = NodeThermalModel(Enclosure(), slot=0, hwmon=tree)
         model.step(1000.0, board_power_w=5.9)
         assert tree.read_celsius("cpu_temp") > 30.0
+        assert tree.read_celsius("mb_temp") == 25.0  # owed to settle
+        model.settle(1000.0, 1, board_power_w=5.9)
         assert tree.read_celsius("mb_temp") > 25.0
 
     def test_set_enclosure_changes_resistance_in_place(self):
@@ -161,7 +163,8 @@ class TestNodeThermalModel:
         model = NodeThermalModel(Enclosure(), slot=4)
         for _ in range(100):
             model.step(10.0, board_power_w=5.9)
-        assert model.motherboard.temperature_c < model.soc.temperature_c
+        model.settle(10.0, 100, board_power_w=5.9)
+        assert 25.0 < model.motherboard.temperature_c < model.soc.temperature_c
 
 
 class TestWatchdog:

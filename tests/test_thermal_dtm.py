@@ -63,6 +63,8 @@ class TestFrequencyScaling:
         slow.set_frequency_scale(0.55, 22.0)
         full.advance(100.0)
         slow.advance(100.0)
+        full.settle()
+        slow.settle()
         ratio = (slow.board.cores.total_instructions()
                  / full.board.cores.total_instructions())
         assert ratio == pytest.approx(0.55, abs=0.02)

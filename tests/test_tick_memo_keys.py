@@ -78,7 +78,8 @@ class TickReference:
 
     The expected values are computed from the inputs the tick sees (the
     enclosure's R and ambient, the rails' board power, the profile's
-    utilisation) before the node advances, then compared exactly after.
+    utilisation) before the node advances, then compared exactly after
+    the node settles the tick.
     """
 
     def __init__(self, node):
@@ -115,6 +116,7 @@ class TickReference:
         before = [(core.hpm.cycle, core.hpm.instret) for core in node.board.cores]
 
         self._advance(dt_s)
+        node.settle()
 
         thermal = node.thermal
         assert [thermal.soc.temperature_c, thermal.motherboard.temperature_c,
@@ -128,7 +130,6 @@ class TickReference:
             for core, (cycle0, instret0) in zip(node.board.cores, before):
                 assert core.hpm.cycle - cycle0 == cycles
                 assert core.hpm.instret - instret0 == instructions
-                assert core.utilisation == 0.0
             self.idle_ticks += 1
         self.ticks += 1
 
@@ -149,7 +150,7 @@ def test_mitigation_mid_run_changes_the_decay():
     for _ in range(30):
         node.advance(1.0)
     r_before = node.thermal.soc.resistance_k_per_w
-    node.thermal.set_enclosure(Enclosure(EnclosureConfig.mitigated()))
+    node.set_enclosure(Enclosure(EnclosureConfig.mitigated()))
     assert node.thermal.soc.resistance_k_per_w != r_before
     for _ in range(30):
         node.advance(1.0)
@@ -216,6 +217,6 @@ def test_procfs_increments_follow_every_argument():
              (0.4, 0.9, 0.2, 0.05),
              base]
     for args in calls:
-        procfs.account_cpu(*args)
+        procfs.account_cpu(args[0], 1, *args[1:])
         reference.account(*args)
         assert procfs_state(procfs) == reference.state()
