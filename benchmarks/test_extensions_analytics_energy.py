@@ -2,7 +2,10 @@
 
 Quantifies two capabilities the paper motivates but does not measure:
 how early the ExaMon analytics flag the Fig. 6 runaway, and the
-energy-to-solution ledger for the §V-A benchmark set.
+energy-to-solution ledger for the §V-A benchmark set.  The ledger is also
+checked against an account it does not share code with: the Table VI
+rail powers of the power model, times the nodes and the wall time SLURM
+records for the job.
 """
 
 import pytest
@@ -13,7 +16,12 @@ from repro.cluster.workloads import qe_lax_job
 from repro.examon.analytics import scan_cluster_temperatures
 from repro.examon.deployment import ExamonDeployment
 from repro.power.energy import JobEnergyAccounting
-from repro.power.model import HPL_PROFILE
+from repro.power.model import (
+    HPL_PROFILE,
+    STREAM_DDR_PROFILE,
+    NodePhase,
+    RailPowerModel,
+)
 from repro.slurm.api import SlurmAPI
 from repro.thermal.enclosure import EnclosureConfig
 
@@ -85,3 +93,34 @@ def test_hpl_full_machine_energy(benchmark):
     # Extrapolated to the paper's 3548 s full-machine runtime:
     paper_scale_kj = record.mean_power_w * 3548.0 / 1e3
     assert paper_scale_kj == pytest.approx(168.0, rel=0.08)
+
+
+def test_ledger_conserves_rail_energy():
+    """Each job's per-rail energy is nodes × rail power × elapsed time.
+
+    Both jobs start on a watchdog tick: the HPL job takes the whole
+    machine, and the STREAM.DDR job waits for it.  Nothing throttles on
+    the mitigated machine, so every allocated node holds the model's
+    R3 power for the profile over the whole job.
+    """
+    cluster = MonteCimoneCluster(
+        enclosure_config=EnclosureConfig.mitigated())
+    cluster.boot_all()
+    accounting = JobEnergyAccounting(cluster.slurm)
+    cluster.run_for(10.0)
+    jobs = [cluster.slurm.submit(name, "bench", n_nodes=n_nodes,
+                                 duration_s=duration_s, profile=profile)
+            for name, n_nodes, duration_s, profile in (
+                ("hpl", 8, 100.0, HPL_PROFILE),
+                ("stream", 1, 30.0, STREAM_DDR_PROFILE))]
+    SlurmAPI(cluster.slurm).wait_all()
+    model = RailPowerModel()
+    for job in jobs:
+        record = accounting.record_for(job.job_id)
+        powers = model.rail_powers_w(NodePhase.R3_OS, job.profile)
+        assert sorted(record.per_rail_j) == sorted(powers)
+        for rail, energy_j in record.per_rail_j.items():
+            expected = job.n_nodes * powers[rail] * job.elapsed_s
+            assert energy_j == pytest.approx(expected, rel=1e-12), \
+                (job.name, rail)
+        assert record.energy_j == sum(record.per_rail_j.values())

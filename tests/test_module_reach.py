@@ -94,9 +94,6 @@ ALLOWED_CLASS_NAMES = {
                  "tests/test_node_golden.py NODE_DIGESTS dtm case",
     "new_scale": "GovernorEvent.new_scale: read by repr(events) in the "
                  "tests/test_node_golden.py NODE_DIGESTS dtm case",
-    "per_rail_j": "JobEnergyRecord.per_rail_j: computed with the job's "
-                  "energy; its first reader is the sacct-energy "
-                  "conservation check of ROADMAP item 3",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
