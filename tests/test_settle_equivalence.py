@@ -3,12 +3,15 @@
 ``ComputeNode.advance`` steps only the SoC and records the tick;
 ``ComputeNode.settle`` replays the recorded ticks into the rest of the
 node before anything reads it.  :class:`EagerNode` keeps the tick that
-updates every part of the node each second, written out here, and never
+updates every part of the node each second, written out here from the
+formulas rather than through the node's accounting code, and never
 defers anything.  Random sequences of ticks, transitions, DTM control
 steps, trips, service reboots, enclosure changes, sensor faults and
 plugin reads drive one node of each kind in lockstep; every plugin read
 and the final state must agree bit for bit.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,7 @@ from repro.events.engine import Engine
 from repro.examon.broker import MQTTBroker
 from repro.examon.plugins.pmu_pub import PmuPubPlugin
 from repro.examon.plugins.stats_pub import StatsPubPlugin
-from repro.hardware.cores import CoreActivity, U74Core
+from repro.hardware.cores import U74Core
 from repro.power.model import (
     HPL_PROFILE,
     IDLE_PROFILE,
@@ -34,8 +37,32 @@ from repro.thermal.dtm import ThermalGovernor
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
 
 
+def rc_step(temperature, dt_s, power_w, ambient_c, r, c):
+    """The exact-exponential RC update, written out."""
+    target = ambient_c + power_w * r
+    return target + (temperature - target) * math.exp(-dt_s / (r * c))
+
+
+def core_counts(clock_hz, duration_s, ipc, flop_fraction, l2_miss_rate,
+                utilisation):
+    """One slice's (cycles, instructions, fp_ops, l2_miss, load_store)
+    increments, written out."""
+    cycles = int(clock_hz * duration_s)
+    busy_cycles = int(clock_hz * (duration_s * utilisation))
+    retired = int(busy_cycles * min(ipc, U74Core.MAX_IPC))
+    return (cycles, retired, int(retired * flop_fraction),
+            int(retired * l2_miss_rate), int(retired * 0.3))
+
+
 class EagerNode(ComputeNode):
-    """A node whose every tick updates all of its state at once."""
+    """A node whose every tick updates all of its state at once.
+
+    The tick and the rail updates are written out here, so the reference
+    does not share the accounting code it checks: the HPM counts, the
+    procfs increments and load averages, the memory split, the three RC
+    updates and ``energy += P·dt`` on each rail, with ``dt`` the time
+    since the rail's last update.
+    """
 
     def settle(self):
         """Nothing is ever pending."""
@@ -47,38 +74,81 @@ class EagerNode(ComputeNode):
         profile = self.active_profile
         board = self.board
         if self.phase is NodePhase.R3_OS:
-            if profile.utilisation > 0:
+            clock_hz = board.cores.soc.clock_hz
+            utilisation = profile.utilisation
+            if utilisation > 0:
                 modulation = activity_modulation(profile.name, self._now_s)
-                activity = CoreActivity(
-                    duration_s=dt_s * self.frequency_scale,
-                    ipc=max(0.0, min(profile.ipc * modulation, 2.0)),
-                    flop_fraction=profile.flop_fraction,
-                    l2_miss_rate=0.002 + 0.02 * profile.ddr_data_activity,
-                    utilisation=profile.utilisation)
-                counts = activity.counts(board.cores.soc.clock_hz,
-                                         U74Core.MAX_IPC)
-                for core in board.cores:
-                    core.advance(counts)
+                counts = core_counts(
+                    clock_hz, dt_s * self.frequency_scale,
+                    max(0.0, min(profile.ipc * modulation, 2.0)),
+                    profile.flop_fraction,
+                    0.002 + 0.02 * profile.ddr_data_activity, utilisation)
             else:
-                board.cores.idle(dt_s, 1)
-            self.procfs.account_cpu(dt_s, 1, profile.utilisation)
-            self.procfs.update_memory(board.memory.usage())
+                counts = core_counts(clock_hz, dt_s, 0.02, 0.0, 0.0, 0.01)
+            for core in board.cores:
+                core.advance(counts)
+            procfs = self.procfs
+            n_cores = procfs.n_cores
+            ticks_hz = dt_s * procfs.USER_HZ * n_cores
+            busy = ticks_hz * utilisation
+            wait = ticks_hz * 0.0
+            cpu = procfs.cpu
+            cpu.usr += busy * (1.0 - 0.08)
+            cpu.sys += busy * 0.08
+            cpu.wai += wait
+            cpu.idl += max(ticks_hz - busy - wait, 0.0)
+            procfs.interrupts_total += int(dt_s * (250 + 4000 * utilisation))
+            procfs.context_switches_total += int(
+                dt_s * (500 + 9000 * utilisation))
+            runnable = utilisation * n_cores
+            procfs.load_1m += min(dt_s / 60.0, 1.0) * (
+                runnable - procfs.load_1m)
+            procfs.load_5m += min(dt_s / 300.0, 1.0) * (
+                runnable - procfs.load_5m)
+            procfs.load_15m += min(dt_s / 900.0, 1.0) * (
+                runnable - procfs.load_15m)
+            capacity = board.memory.capacity_bytes
+            used = board.memory.allocated_bytes
+            buff, cach = int(0.01 * capacity), int(0.04 * capacity)
+            procfs.update_memory({
+                "used": used, "free": max(0, capacity - used - buff - cach),
+                "buff": buff, "cach": cach})
         thermal = self.thermal
         if thermal is not None:
-            power_w = self.total_power_w()
+            power_w = sum([rail.power_w for rail in board.rails])
             ambient = thermal.enclosure.local_ambient(thermal.slot)
-            thermal.soc.step(dt_s, power_w, ambient)
-            thermal.motherboard.step(
-                dt_s, power_w * thermal.MB_HEAT_FRACTION, ambient)
-            thermal.nvme.step(
-                dt_s, thermal.NVME_POWER_W,
-                0.5 * (ambient + thermal.motherboard.temperature_c))
+            soc, mb, nvme = thermal.soc, thermal.motherboard, thermal.nvme
+            soc.temperature_c = rc_step(
+                soc.temperature_c, dt_s, power_w, ambient,
+                soc.resistance_k_per_w, soc.capacitance_j_per_k)
+            mb.temperature_c = rc_step(
+                mb.temperature_c, dt_s, power_w * thermal.MB_HEAT_FRACTION,
+                ambient, mb.resistance_k_per_w, mb.capacitance_j_per_k)
+            nvme.temperature_c = rc_step(
+                nvme.temperature_c, dt_s, thermal.NVME_POWER_W,
+                0.5 * (ambient + mb.temperature_c),
+                nvme.resistance_k_per_w, nvme.capacitance_j_per_k)
             sensors = board.hwmon.sensors
-            sensors["cpu_temp"].set(thermal.soc.temperature_c)
-            sensors["mb_temp"].set(thermal.motherboard.temperature_c)
-            board.nvme.temperature_c = thermal.nvme.temperature_c
+            sensors["cpu_temp"].set(soc.temperature_c)
+            sensors["mb_temp"].set(mb.temperature_c)
+            board.nvme.temperature_c = nvme.temperature_c
             board.sync_nvme_temperature()
-        self._apply_power()
+        self._integrate_rails(None)
+
+    def _apply_power(self):
+        self._integrate_rails(self.power_model.rail_powers_w(
+            self.phase, self.active_profile,
+            frequency_scale=self.frequency_scale))
+
+    def _integrate_rails(self, powers_w):
+        """Each rail adds ``P·dt`` up to the node clock, then takes its
+        new power from ``powers_w`` (if given)."""
+        now_s = self._now_s
+        for rail in self.board.rails:
+            rail._energy_j += rail._power_w * (now_s - rail._last_update_s)
+            rail._last_update_s = now_s
+            if powers_w is not None:
+                rail._power_w = powers_w[rail.name]
 
 
 PROFILES = (IDLE_PROFILE, HPL_PROFILE, STREAM_L2_PROFILE, STREAM_DDR_PROFILE,
