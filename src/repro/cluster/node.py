@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate, repeat
-from typing import Dict, Generator, List, Optional
+from typing import Generator, List, Optional
 
 from repro.events.engine import Engine, Event
 from repro.hardware.board import HiFiveUnmatched
@@ -109,10 +109,6 @@ class ComputeNode:
         self._pending: List[list] = []
         #: The node clock when the first pending tick was taken.
         self._settled_s = 0.0
-        #: (phase, active_profile, frequency_scale) of ``_rail_powers``,
-        #: the last ``power_model.rail_powers_w`` result; filled on first use.
-        self._rail_key: Optional[tuple] = None
-        self._rail_powers: Dict[str, float] = {}
 
     # -- thermal attachment ---------------------------------------------------
     def attach_thermal(self, enclosure: Enclosure, slot: int) -> None:
@@ -294,7 +290,7 @@ class ComputeNode:
             # one writer of hwmon0.
             board.nvme.temperature_c = thermal.nvme.temperature_c
             board.sync_nvme_temperature()
-        board.rails.hold(self._current_rail_powers(), times)
+        board.rails.hold(times)
 
     # -- measurements -------------------------------------------------------------
     def total_power_w(self) -> float:
@@ -314,20 +310,13 @@ class ComputeNode:
         self._now_s = max(self._now_s, now_s)
         self._apply_power()
 
-    def _current_rail_powers(self) -> Dict[str, float]:
-        # The rail powers are a function of the key alone, so the last
-        # evaluation is reused until a transition changes the key.
-        key = (self.phase, self.active_profile, self.frequency_scale)
-        if key != self._rail_key:
-            self._rail_powers = self.power_model.rail_powers_w(
-                self.phase, self.active_profile,
-                frequency_scale=self.frequency_scale)
-            self._rail_key = key
-        return self._rail_powers
-
     def _apply_power(self) -> None:
         """End a transition: set the rails at the node clock."""
-        self.board.rails.set_powers(self._current_rail_powers(), self._now_s)
+        self.board.rails.set_powers(
+            self.power_model.rail_powers_w(
+                self.phase, self.active_profile,
+                frequency_scale=self.frequency_scale),
+            self._now_s)
 
     # -- simulation processes -------------------------------------------------------
     def boot_process(self, engine: Engine) -> Generator[Event, None, None]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 __all__ = ["ProcFS", "CpuTimes"]
 
@@ -73,9 +73,6 @@ class ProcFS:
         self.mem_free = dram_bytes
         self.mem_buff = 0
         self.mem_cach = 0
-        #: (dt_s, utilisation, sys_fraction, wait_fraction, *increments)
-        #: of the last :meth:`account_cpu` call; filled on first use.
-        self._cpu_memo: Optional[tuple] = None
 
     # -- lifecycle hooks -----------------------------------------------------
     def account_cpu(self, dt_s: float, ticks: int, utilisation: float,
@@ -87,38 +84,29 @@ class ProcFS:
         share, ``sys_fraction`` is kernel time.  Interrupt and context-
         switch counters advance at activity-scaled rates.
 
-        The per-interval increments depend on the four rates alone, so
-        the last set is kept, keyed on all four.  The float counters and
-        load averages then take ``ticks`` updates in turn, ending on the
-        bits ``ticks`` separate intervals give; the integer counters take
-        one product.
+        The float counters and load averages take ``ticks`` updates in
+        turn, ending on the bits ``ticks`` separate intervals give; the
+        integer counters take one product.
         """
-        memo = self._cpu_memo
-        if (memo is None or memo[0] != dt_s or memo[1] != utilisation
-                or memo[2] != sys_fraction or memo[3] != wait_fraction):
-            # A hit matches a call already checked here, and NaN matches
-            # nothing, so checking on a miss checks every call.
-            if not dt_s >= 0:  # also rejects NaN
-                raise ValueError("negative interval")
-            if any(math.isnan(x)
-                   for x in (utilisation, sys_fraction, wait_fraction)):
-                raise ValueError("NaN utilisation or fraction")
-            ticks_hz = dt_s * self.USER_HZ * self.n_cores
-            busy = ticks_hz * utilisation
-            wait = ticks_hz * wait_fraction
-            memo = self._cpu_memo = (
-                dt_s, utilisation, sys_fraction, wait_fraction,
-                busy * (1.0 - sys_fraction), busy * sys_fraction, wait,
-                max(ticks_hz - busy - wait, 0.0),
-                int(dt_s * (250 + 4000 * utilisation)),
-                int(dt_s * (500 + 9000 * utilisation)),
-                # Exponentially-smoothed load averages driven by the run
-                # queue: the run-queue length and the three gains.
-                utilisation * self.n_cores,
-                min(dt_s / 60.0, 1.0), min(dt_s / 300.0, 1.0),
-                min(dt_s / 900.0, 1.0))
-        (_, _, _, _, usr, system, wait, idl, interrupts, context_switches,
-         runnable, gain_1m, gain_5m, gain_15m) = memo
+        if not dt_s >= 0:  # also rejects NaN
+            raise ValueError("negative interval")
+        if any(math.isnan(x)
+               for x in (utilisation, sys_fraction, wait_fraction)):
+            raise ValueError("NaN utilisation or fraction")
+        ticks_hz = dt_s * self.USER_HZ * self.n_cores
+        busy = ticks_hz * utilisation
+        wait = ticks_hz * wait_fraction
+        usr = busy * (1.0 - sys_fraction)
+        system = busy * sys_fraction
+        idl = max(ticks_hz - busy - wait, 0.0)
+        interrupts = int(dt_s * (250 + 4000 * utilisation))
+        context_switches = int(dt_s * (500 + 9000 * utilisation))
+        # Exponentially-smoothed load averages driven by the run queue:
+        # the run-queue length and the three gains.
+        runnable = utilisation * self.n_cores
+        gain_1m = min(dt_s / 60.0, 1.0)
+        gain_5m = min(dt_s / 300.0, 1.0)
+        gain_15m = min(dt_s / 900.0, 1.0)
         cpu = self.cpu
         cpu_usr, cpu_sys, cpu_wai, cpu_idl = cpu.usr, cpu.sys, cpu.wai, cpu.idl
         load_1m, load_5m, load_15m = self.load_1m, self.load_5m, self.load_15m

@@ -16,7 +16,6 @@ through perf_events — exactly the path pmu_pub uses on the real machine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Tuple
 
 from repro.hardware.hpm import HPMUnit
@@ -48,9 +47,8 @@ class CoreActivity:
         Busy fraction within ``duration_s`` (1.0 = fully busy).
 
     An activity is a value: every core of the complex runs the same
-    slice, idle intervals of one length share one instance, and
-    :meth:`counts` works out the counter increments on first use and
-    reuses them for the rest.
+    slice, so :meth:`run_counts` works out its counter increments once
+    for all of them.
     """
 
     duration_s: float
@@ -58,13 +56,10 @@ class CoreActivity:
     flop_fraction: float = 0.0
     l2_miss_rate: float = 0.0
     utilisation: float = 1.0
-    #: (clock_hz, max_ipc, counts) of the last :meth:`counts` call; not a
-    #: field, so equality, hashing and ``repr`` ignore it.
-    _counts_memo = None
 
     def __post_init__(self) -> None:
-        # Every field is checked here, so every increment :meth:`counts`
-        # derives is a non-negative integer and a core applies all of them
+        # Every field is checked here, so every increment
+        # :meth:`run_counts` derives is a non-negative integer and a core applies all of them
         # or none.
         if not self.duration_s >= 0:
             raise ValueError(f"negative duration {self.duration_s}")
@@ -78,29 +73,17 @@ class CoreActivity:
         if not self.l2_miss_rate >= 0:
             raise ValueError(f"negative l2_miss_rate {self.l2_miss_rate}")
 
-    def counts(self, clock_hz: float, max_ipc: float) -> Counts:
-        """(cycles, instructions, fp_ops, l2_miss, load_store) increments.
-
-        The increments of a core clocked at ``clock_hz`` whose issue rate
-        is capped at ``max_ipc``.  The last result is kept, keyed on those
-        two arguments.
-        """
-        memo = self._counts_memo
-        if memo is not None and memo[0] == clock_hz and memo[1] == max_ipc:
-            return memo[2]
-        counts = self.run_counts((self.ipc,), clock_hz, max_ipc)
-        # The memo is not a field; a frozen dataclass sets it this way.
-        object.__setattr__(self, "_counts_memo", (clock_hz, max_ipc, counts))
-        return counts
-
     def run_counts(self, ipcs: Iterable[float], clock_hz: float,
                    max_ipc: float) -> Counts:
         """The summed increments of back-to-back slices, one per entry of
         ``ipcs``, that differ from this activity only in their
         instructions-per-cycle.
 
-        Each slice adds what :meth:`counts` gives for an activity with
-        that ``ipc``; the integers sum the same in any grouping.
+        A slice of a core clocked at ``clock_hz`` counts every cycle of
+        ``duration_s``; its busy share retires ``min(ipc, max_ipc)``
+        instructions per cycle, fixed shares of which are FLOPs, L2
+        misses and loads/stores.  The integers sum the same in any
+        grouping.
         """
         busy_s = self.duration_s * self.utilisation
         cycles = int(clock_hz * self.duration_s)
@@ -117,16 +100,6 @@ class CoreActivity:
             load_store += int(retired * 0.3)
             slices += 1
         return (slices * cycles, instructions, fp_ops, l2_miss, load_store)
-
-
-@lru_cache(maxsize=8)
-def _idle_activity(duration_s: float) -> CoreActivity:
-    """OS-idle time: cycles tick, few instructions retire.
-
-    Activities are immutable, so every idle interval of the same length
-    shares one instance (ticks are almost always one simulated second).
-    """
-    return CoreActivity(duration_s=duration_s, ipc=0.02, utilisation=0.01)
 
 
 class U74Core:
@@ -164,10 +137,10 @@ class U74Core:
     def advance(self, counts: Counts) -> None:
         """Account for executed work: add ``counts`` to the counters.
 
-        ``counts`` is the :meth:`CoreActivity.counts` result of one slice,
-        or the sum of those of back-to-back slices; integer addition makes
-        one sum the same as one addition per slice.  Updates CYCLE,
-        INSTRET and the programmable HPM counters; the programmable events
+        ``counts`` is the :meth:`CoreActivity.run_counts` sum of one or
+        more back-to-back slices; integer addition makes one sum the same
+        as one addition per slice.  Updates CYCLE, INSTRET and the
+        programmable HPM counters; the programmable events
         are discarded while the bank is disabled, mirroring hardware
         counters that are simply not counting.  The clock must be running;
         calling this on a gated core is a modelling bug.  The increments
@@ -259,7 +232,9 @@ class CoreComplex:
     def idle(self, duration_s: float, ticks: int) -> None:
         """Advance every core through ``ticks`` OS-idle intervals of
         ``duration_s`` each."""
-        counts = tuple(n * ticks for n in _idle_activity(duration_s).counts(
-            self.soc.clock_hz, U74Core.MAX_IPC))
+        # OS-idle time: cycles tick, few instructions retire.
+        idle = CoreActivity(duration_s=duration_s, ipc=0.02, utilisation=0.01)
+        counts = tuple(n * ticks for n in idle.run_counts(
+            (idle.ipc,), self.soc.clock_hz, U74Core.MAX_IPC))
         for core in self.cores:
             core.advance(counts)

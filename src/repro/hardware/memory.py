@@ -9,8 +9,7 @@ benchmarks reserve memory).
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
 from repro.hardware.specs import MemorySpec, DDR_SPEC
 
@@ -34,8 +33,6 @@ class DDR4Subsystem:
         self.spec = spec
         self._allocations: Dict[str, int] = {}
         self._initialised = False
-        #: What :meth:`usage` returns; ``None`` until read after a change.
-        self._usage: Optional[Mapping[str, int]] = None
 
     # -- boot --------------------------------------------------------------
     def initialise(self) -> None:
@@ -46,7 +43,6 @@ class DDR4Subsystem:
         """
         self._initialised = True
         self._allocations.clear()
-        self._usage = None
 
     # -- capacity ------------------------------------------------------------
     @property
@@ -74,32 +70,18 @@ class DDR4Subsystem:
             raise OutOfMemoryError(
                 f"{owner}: requested {n_bytes} bytes, only {self.free_bytes} free")
         self._allocations[owner] = self._allocations.get(owner, 0) + n_bytes
-        self._usage = None
 
     def release(self, owner: str) -> int:
         """Free everything held by ``owner``; returns the byte count."""
-        released = self._allocations.pop(owner, 0)
-        self._usage = None
-        return released
+        return self._allocations.pop(owner, 0)
 
-    def usage(self) -> Mapping[str, int]:
-        """Memory usage in the shape stats_pub reports (Table III).
-
-        A read-only view, rebuilt on the first read after an allocation
-        changes: the node mirrors it into procfs every tick.
-        """
-        usage = self._usage
-        if usage is None:
-            usage = self._usage = self._split()
-        return usage
-
-    def _split(self) -> Mapping[str, int]:
+    def usage(self) -> Dict[str, int]:
+        """Memory usage in the shape stats_pub reports (Table III)."""
         capacity = self.spec.capacity_bytes
         used = sum(self._allocations.values())
         free = capacity - used
         # Buffers/cache modelled as a fixed small OS share of free memory.
         buff = int(0.01 * capacity)
         cach = int(0.04 * capacity)
-        return MappingProxyType(
-            {"used": used, "free": max(0, free - buff - cach),
-             "buff": buff, "cach": cach})
+        return {"used": used, "free": max(0, free - buff - cach),
+                "buff": buff, "cach": cach}

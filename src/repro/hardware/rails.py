@@ -8,19 +8,20 @@ order.  The rails are the *measurement* layer — the power *model*
 (:mod:`repro.power.model`) decides how many milliwatts each rail draws;
 the rail object holds that draw and keeps its energy integral.
 
-A rail's power is read every second (the board total heats the SoC), but
-its energy integral only when someone asks for it.  The node therefore
-hands its per-second ticks over in runs, through :meth:`RailSet.hold`,
-which integrates the held powers over each tick of the run in order, as
-one ``set_powers`` call per tick would.
+A rail's power changes only in a node transition, which sets all nine
+through :meth:`RailSet.set_powers`.  A tick only integrates: the node
+hands its per-second ticks over in runs, when someone asks for the
+energy, through :meth:`RailSet.hold`, which adds each rail's held
+``P·dt`` once per tick, in order.  The board total, which heats the SoC
+every second, is summed once per power change.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 __all__ = ["PowerRail", "RailSet", "RAIL_NAMES"]
 
@@ -39,17 +40,17 @@ RAIL_NAMES = (
 
 
 class PowerRail:
-    """One supply rail: instantaneous power plus an energy integral."""
+    """One supply rail: instantaneous power plus an energy integral.
 
-    __slots__ = ("name", "_power_w", "_energy_j", "_last_update_s", "_owner")
+    The rail is a record; its :class:`RailSet` updates it.
+    """
 
-    def __init__(self, name: str, owner: Optional["RailSet"] = None) -> None:
+    __slots__ = ("name", "_power_w", "_energy_j")
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self._power_w = 0.0
         self._energy_j = 0.0
-        self._last_update_s = 0.0
-        #: The set this rail is a line of; told of every update.
-        self._owner = owner
 
     @property
     def power_w(self) -> float:
@@ -58,56 +59,28 @@ class PowerRail:
 
     @property
     def energy_j(self) -> float:
-        """Energy integrated over all ``set_power`` intervals, joules."""
+        """Energy integrated over every interval the set has held, joules."""
         return self._energy_j
-
-    def set_power(self, power_w: float, now_s: float) -> None:
-        """Update the rail draw at simulated time ``now_s``.
-
-        Energy is integrated assuming the previous power level held since
-        the last update (zero-order hold), which matches how the 1 ms
-        averaging windows of Fig. 3 are produced from raw samples.
-        """
-        if not power_w >= 0:  # also rejects NaN
-            raise ValueError(f"negative power {power_w} on rail {self.name}")
-        dt = now_s - self._last_update_s
-        if not dt >= 0:  # also rejects a NaN time
-            raise ValueError(
-                f"time went backwards on rail {self.name}: {now_s}")
-        self._energy_j += self._power_w * dt
-        self._power_w = power_w
-        self._last_update_s = now_s
-        owner = self._owner
-        if owner is not None:
-            # The set's rails no longer all hold its last powers, and its
-            # total is stale.
-            owner._held = owner._total_w = None
 
 
 class RailSet:
     """The full nine-line measurement harness of one board.
 
-    The node hands over the same rail powers every tick until a
-    transition changes them.  A repeated dict only integrates: while
-    every rail holds the powers of the last call that set all of them,
-    the rails share one timestamp, so one ``dt`` and one time check
-    serve all nine ``energy += P·dt`` updates, which are the ones
-    :meth:`PowerRail.set_power` would make.  Any per-rail update (a
-    new or partial dict, or a direct ``set_power`` on a member rail)
-    ends that state until the next full dict.
+    The rails share one clock, the time of the set's last update.  Energy
+    is integrated assuming each power held since then (zero-order hold),
+    which matches how the 1 ms averaging windows of Fig. 3 are produced
+    from raw samples.
     """
 
     def __init__(self, names: Iterable[str] = RAIL_NAMES) -> None:
         self._rails: Dict[str, PowerRail] = {
-            name: PowerRail(name, owner=self) for name in names}
+            name: PowerRail(name) for name in names}
         if not self._rails:
             raise ValueError("rail set cannot be empty")
-        #: Copy of the powers every rail took at ``_held_s``, or ``None``
-        #: while the rails do not share them.
-        self._held: Optional[Dict[str, float]] = None
-        self._held_s = 0.0
-        #: ``total_w`` since the last power change; ``None`` until asked.
-        self._total_w: Optional[float] = None
+        #: The rails' clock: the time of the last update, seconds.
+        self._now_s = 0.0
+        #: ``total_w``, summed at each power change.
+        self._total_w = 0.0
 
     def __getitem__(self, name: str) -> PowerRail:
         return self._rails[name]
@@ -119,42 +92,27 @@ class RailSet:
         return name in self._rails
 
     def set_powers(self, powers_w: Dict[str, float], now_s: float) -> None:
-        """Update several rails at one timestamp."""
-        if powers_w == self._held:
-            # Every rail already draws these powers and was last updated
-            # at _held_s: integrate only.  Equal floats are the same bits,
-            # except that 0.0 == -0.0; a zero keeps the sign it was set
-            # with, and either adds nothing to the energy.
-            dt = now_s - self._held_s
-            if not dt >= 0:  # also rejects a NaN time
-                raise ValueError(f"time went backwards on the rails: {now_s}")
-            for rail in self._rails.values():
-                rail._energy_j += rail._power_w * dt
-                rail._last_update_s = now_s
-            self._held_s = now_s
-            return
-        rails = self._rails
-        for name, power in powers_w.items():
-            rails[name].set_power(power, now_s)
-        if len(powers_w) == len(rails):
-            self._held = dict(powers_w)
-            self._held_s = now_s
+        """Hold the present powers up to ``now_s``, then change the named
+        rails to ``powers_w``."""
+        updates = [(self._rails[name], power)
+                   for name, power in powers_w.items()]
+        for rail, power in updates:
+            if not power >= 0:  # also rejects NaN
+                raise ValueError(f"negative power {power} on rail {rail.name}")
+        self.hold([now_s])
+        for rail, power in updates:
+            rail._power_w = power
+        self._total_w = sum([rail._power_w for rail in self._rails.values()])
 
-    def hold(self, powers_w: Dict[str, float], times: Sequence[float]) -> None:
-        """Do what ``set_powers(powers_w, t)`` does for each of ``times``.
+    def hold(self, times: Sequence[float]) -> None:
+        """Integrate the held powers up to each of ``times`` in turn.
 
-        ``powers_w`` names every rail.  The first time may change powers;
-        after it every rail holds ``powers_w``, so each later time only
-        adds ``P·dt`` to each rail, one addition per time in order, with
-        the ``dt`` between consecutive ``times``.
+        Each rail adds ``P·dt`` once per time, in order, with ``dt`` the
+        step from the previous time (the rails' clock, for the first).
+        A step back in time, or a NaN, raises before any energy moves.
         """
-        if len(powers_w) != len(self._rails):
-            raise ValueError("hold needs a power for every rail")
-        self.set_powers(powers_w, times[0])
-        if len(times) == 1:
-            return
-        steps = list(map(sub, islice(times, 1, None), times))
-        if not min(steps) >= 0:  # also rejects a NaN time
+        steps = list(map(sub, times, chain((self._now_s,), times)))
+        if not all(step >= 0 for step in steps):  # also rejects a NaN time
             raise ValueError(
                 f"time went backwards on the rails before {times[-1]}")
         for rail in self._rails.values():
@@ -162,14 +120,8 @@ class RailSet:
             if power:  # a zero power adds nothing, whatever its sign
                 rail._energy_j = reduce(add, map(mul, repeat(power), steps),
                                         rail._energy_j)
-            rail._last_update_s = times[-1]
-        self._held_s = times[-1]
+        self._now_s = times[-1]
 
     def total_w(self) -> float:
-        """True total board power, watts: the rails summed in order once
-        per power change."""
-        total = self._total_w
-        if total is None:
-            total = self._total_w = sum(
-                [rail._power_w for rail in self._rails.values()])
-        return total
+        """True total board power, watts."""
+        return self._total_w

@@ -48,9 +48,6 @@ class ThermalRC:
     resistance_k_per_w: float
     capacitance_j_per_k: float
     temperature_c: float = 25.0
-    #: (dt_s, time constant, decay factor) of the last :meth:`step`; not
-    #: a field, so equality and ``repr`` ignore it.
-    _decay_memo = None
 
     def __post_init__(self) -> None:
         if not self.resistance_k_per_w > 0:  # also rejects NaN
@@ -63,22 +60,11 @@ class ThermalRC:
         return ambient_c + power_w * self.resistance_k_per_w
 
     def decay(self, dt_s: float) -> float:
-        """The factor ``exp(-dt/τ)`` of a step of ``dt_s``, τ = R·C.
-
-        The last factor is kept, keyed on ``dt_s`` and τ; τ is recomputed
-        every call, so a change of R (``set_enclosure``) misses the memo.
-        """
-        tau = self.resistance_k_per_w * self.capacitance_j_per_k
-        memo = self._decay_memo
-        if memo is not None and memo[0] == dt_s and memo[1] == tau:
-            return memo[2]
-        # A hit matches a step already checked here, and NaN matches
-        # nothing, so checking on a miss checks every step.
+        """The factor ``exp(-dt/τ)`` of a step of ``dt_s``, τ = R·C."""
         if not dt_s >= 0:  # also rejects NaN
             raise ValueError(f"negative time step {dt_s}")
-        alpha = math.exp(-dt_s / tau)
-        self._decay_memo = (dt_s, tau, alpha)
-        return alpha
+        return math.exp(
+            -dt_s / (self.resistance_k_per_w * self.capacitance_j_per_k))
 
     def step(self, dt_s: float, power_w: float, ambient_c: float) -> float:
         """Advance the RC by ``dt_s`` seconds under constant power.

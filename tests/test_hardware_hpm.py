@@ -23,7 +23,7 @@ def clocked_core():
 
 
 def work_counts(core):
-    return WORK.counts(core.soc.clock_hz, core.MAX_IPC)
+    return WORK.run_counts((WORK.ipc,), core.soc.clock_hz, core.MAX_IPC)
 
 
 class TestHPMUnit:

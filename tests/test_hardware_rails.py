@@ -2,37 +2,23 @@
 
 import pytest
 
-from repro.hardware.rails import RAIL_NAMES, PowerRail, RailSet
+from repro.hardware.rails import RAIL_NAMES, RailSet
+
+NAN = float("nan")
 
 
-class TestPowerRail:
-    def test_energy_integrates_zero_order_hold(self):
-        rail = PowerRail("core")
-        rail.set_power(2.0, now_s=0.0)
-        rail.set_power(4.0, now_s=10.0)   # 2 W held for 10 s
-        rail.set_power(0.0, now_s=15.0)   # 4 W held for 5 s
-        assert rail.energy_j == pytest.approx(2.0 * 10 + 4.0 * 5)
+def rail_state(rails):
+    """Every rail's power and energy, and the rails' total, as hex."""
+    return ([(rail.power_w.hex(), rail.energy_j.hex()) for rail in rails],
+            rails.total_w().hex())
 
-    def test_time_must_not_go_backwards(self):
-        rail = PowerRail("core")
-        rail.set_power(1.0, now_s=5.0)
-        with pytest.raises(ValueError, match="backwards"):
-            rail.set_power(1.0, now_s=4.0)
 
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            PowerRail("core").set_power(-1.0, now_s=0.0)
-
-    @pytest.mark.parametrize("power_w,now_s", [(float("nan"), 10.0),
-                                               (3.0, float("nan"))])
-    def test_nan_rejected_before_the_energy_moves(self, power_w, now_s):
-        rail = PowerRail("core")
-        rail.set_power(2.0, now_s=0.0)
-        with pytest.raises(ValueError):
-            rail.set_power(power_w, now_s=now_s)
-        assert (rail.power_w, rail.energy_j) == (2.0, 0.0)
-        rail.set_power(1.0, now_s=10.0)
-        assert rail.energy_j == 20.0
+def powered(now_s=0.0):
+    """A set whose rails draw 0.1, 0.2, ... 0.9 W from ``now_s``."""
+    rails = RailSet()
+    rails.set_powers({name: 0.1 * (i + 1)
+                      for i, name in enumerate(RAIL_NAMES)}, now_s)
+    return rails
 
 
 class TestRailSet:
@@ -55,9 +41,74 @@ class TestRailSet:
         with pytest.raises(ValueError):
             RailSet([])
 
+    def test_energy_integrates_zero_order_hold(self):
+        rails = RailSet()
+        rails.set_powers({"core": 2.0}, now_s=0.0)
+        rails.set_powers({"core": 4.0}, now_s=10.0)   # 2 W held for 10 s
+        rails.set_powers({"core": 0.0}, now_s=15.0)   # 4 W held for 5 s
+        assert rails["core"].energy_j == pytest.approx(2.0 * 10 + 4.0 * 5)
 
-def test_hold_needs_a_power_for_every_rail():
-    rails = RailSet()
-    with pytest.raises(ValueError, match="every rail"):
-        rails.hold({"core": 1.0}, [1.0, 2.0])
-    assert [rail.power_w for rail in rails] == [0.0] * len(RAIL_NAMES)
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            RailSet().set_powers({"core": -1.0}, now_s=0.0)
+
+    @pytest.mark.parametrize("power_w,now_s", [(NAN, 10.0), (-1.0, 10.0),
+                                               (3.0, NAN), (3.0, 4.0)])
+    def test_a_rejected_update_moves_no_energy(self, power_w, now_s):
+        rails = powered(5.0)
+        before = rail_state(rails)
+        # A bad power on the last rail is found before the first moves.
+        with pytest.raises(ValueError):
+            rails.set_powers({"core": 1.0, "ddr_vpp": power_w}, now_s)
+        assert rail_state(rails) == before
+        rails.set_powers({}, 15.0)
+        assert rails["core"].energy_j == 0.1 * 10.0
+
+
+class TestHold:
+    def test_adds_p_dt_once_per_time_in_order(self):
+        rails = powered()
+        times = [0.3, 1.3, 2.3, 2.3, 2.75]
+        rails.hold(times)
+        for i, rail in enumerate(rails):
+            energy, last = 0.0, 0.0
+            for now_s in times:
+                energy += 0.1 * (i + 1) * (now_s - last)
+                last = now_s
+            assert rail.energy_j.hex() == energy.hex(), rail.name
+        # The rails' clock is the last time.
+        rails.set_powers({}, 3.75)
+        assert rails["core"].energy_j == energy_after(0.1, times + [3.75])
+
+    @pytest.mark.parametrize("times", [[9.5], [11.0, 10.5], [NAN],
+                                       [11.0, NAN], [11.0, 12.0, NAN],
+                                       [11.0, 12.0, 11.5]])
+    def test_time_going_backwards_moves_no_energy(self, times):
+        rails = powered()
+        rails.hold([10.0])
+        before = rail_state(rails)
+        with pytest.raises(ValueError, match="backwards"):
+            rails.hold(times)
+        assert rail_state(rails) == before
+        # The set still integrates from where it stood.
+        rails.hold([12.0])
+        assert rails["core"].energy_j == energy_after(0.1, [10.0, 12.0])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_power_adds_nothing(self, zero):
+        rails = RailSet()
+        rails.set_powers({"core": 2.0, "io": zero}, 0.0)
+        rails.set_powers({"core": zero}, 10.0)
+        rails.hold([11.0, 12.5, 20.0])
+        assert rails["core"].energy_j.hex() == (20.0).hex()
+        assert rails["io"].energy_j.hex() == (0.0).hex()
+        assert rails.total_w() == 0.0
+
+
+def energy_after(power_w, times):
+    """``energy += P·dt`` from time zero over each of ``times``."""
+    energy, last = 0.0, 0.0
+    for now_s in times:
+        energy += power_w * (now_s - last)
+        last = now_s
+    return energy

@@ -1,17 +1,12 @@
-"""Property: the node tick's reused values never go stale.
+"""Transitions set a node's rail powers; ticks only integrate them.
 
-``ComputeNode`` reuses its last rail-power evaluation while
-``(phase, active_profile, frequency_scale)`` holds.  Arbitrary sequences
-of lifecycle transitions, throttling, enclosure changes and ticks must
-leave every rail exactly at a fresh model evaluation, and the SoC exactly
-at the temperature of a reference RC update fed the board power the
-rails report.
-
-``RailSet`` only integrates when it is handed the powers every rail
-already holds, and ``DDR4Subsystem`` rebuilds its usage only when an
-allocation changes.  Both are checked against the per-call evaluation
-they replace: nine standalone rails fed through ``PowerRail.set_power``,
-and the usage formula evaluated afresh.
+Arbitrary sequences of lifecycle transitions, throttling, enclosure
+changes and ticks must leave every rail exactly at a fresh power-model
+evaluation, and the SoC exactly at the temperature of a reference RC
+update fed the board power the rails report.  A transition that keeps
+every power integrates exactly as a tick would, and the memory usage the
+node mirrors into procfs follows every allocation change, against the
+usage formula evaluated afresh.
 """
 
 import math
@@ -22,13 +17,14 @@ from hypothesis import strategies as st
 
 from repro.cluster.node import ComputeNode
 from repro.hardware.memory import DDR4Subsystem
-from repro.hardware.rails import RAIL_NAMES, PowerRail, RailSet
 from repro.power.model import (
     HPL_PROFILE,
     IDLE_PROFILE,
     QE_PROFILE,
     STREAM_DDR_PROFILE,
     STREAM_L2_PROFILE,
+    NodePhase,
+    RailPowerModel,
     WorkloadProfile,
 )
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
@@ -100,177 +96,44 @@ def test_rails_and_soc_match_uncached_models(booted, operations):
         assert soc.temperature_c == expected_soc
 
 
-class ShadowRails:
-    """Nine standalone rails fed, through ``PowerRail.set_power``, every
-    dict a ``RailSet`` receives, once per time a run of ticks hands to
-    ``RailSet.hold``: the per-rail path, evaluated afresh."""
-
-    def __init__(self, rails):
-        self.rails = rails
-        self.reference = {rail.name: PowerRail(rail.name) for rail in rails}
-        self.dicts = 0
-        self._holding = False
-        real_set, real_hold = rails.set_powers, rails.hold
-
-        def feed(powers_w, now_s):
-            for name, power in powers_w.items():
-                self.reference[name].set_power(power, now_s)
-            self.dicts += 1
-
-        def set_powers(powers_w, now_s):
-            if not self._holding:
-                feed(powers_w, now_s)
-            real_set(powers_w, now_s)
-
-        def hold(powers_w, times):
-            for now_s in times:
-                feed(powers_w, now_s)
-            self._holding = True
-            try:
-                real_hold(powers_w, times)
-            finally:
-                self._holding = False
-
-        rails.set_powers = set_powers
-        rails.hold = hold
-
-    def assert_identical(self):
-        """Every rail's energy and timestamp, and the total, bit for bit.
-
-        Powers compare equal: a zero keeps the sign it was set with while
-        the set only integrates (0.0 == -0.0, and neither moves energy).
-        """
-        for rail in self.rails:
-            expected = self.reference[rail.name]
-            assert (rail.energy_j.hex(), rail._last_update_s.hex()) == (
-                expected.energy_j.hex(), expected._last_update_s.hex()), \
-                rail.name
-            assert rail.power_w == expected.power_w, rail.name
-        total = sum([self.reference[name].power_w for name in RAIL_NAMES])
-        assert self.rails.total_w().hex() == total.hex()
-
-
-RAIL_OPERATIONS = st.one_of(
-    OPERATIONS,
-    # A DTM step and a trip, more often than OPERATIONS draws them.
-    st.tuples(st.just("set_frequency_scale"),
-              st.sampled_from([0.55, 0.7, 0.85, 1.0])),
-    st.tuples(st.just("emergency_shutdown")),
-    # A partial dict straight into the harness: the next tick's full dict
-    # must take the per-rail path again.
-    st.tuples(st.just("partial"),
-              st.lists(st.sampled_from(RAIL_NAMES), min_size=1, max_size=8,
-                       unique=True),
-              st.one_of(st.sampled_from([0.0, -0.0]),
-                        st.floats(min_value=0.0, max_value=10.0))),
-    # An equal copy of the held powers, not the node's own dict.
-    st.tuples(st.just("copy")),
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(RAIL_OPERATIONS, min_size=1, max_size=60))
-def test_integrate_only_rails_match_per_rail_updates(operations):
-    node = ComputeNode(hostname="rail-node")
-    node.attach_thermal(Enclosure(EnclosureConfig.original()), slot=4)
-    rails = node.board.rails
-    shadow = ShadowRails(rails)
-    clock = 0.0
-    node.power_on(clock)
-    node.start_bootloader(clock)
-    node.finish_boot(clock)
-    for name, *args in operations:
-        if name == "advance":
-            # Ticks pile up until the next operation settles them.
-            node.advance(args[0])
-            clock += args[0]
-            continue
-        # A write straight into the harness is a transition the node
-        # does not see: it settles first, as its own transitions do.
-        node.settle()
-        if name == "partial":
-            names, power_w = args
-            rails.set_powers({rail: power_w for rail in names}, clock)
-        elif name == "copy":
-            rails.set_powers({rail.name: rail.power_w for rail in rails},
-                             clock)
-        elif name == "set_enclosure":
-            node.set_enclosure(Enclosure(args[0]))
+@pytest.mark.parametrize("transition", ["set_frequency_scale",
+                                        "set_enclosure"])
+def test_a_transition_that_keeps_the_powers_integrates_as_a_tick(transition):
+    """Between ticks 3 and 4 one node takes a transition that leaves every
+    rail power as it was, the other a 0.4 s tick; the rails must end on
+    the same bits, the ``energy += P·dt`` chain of the tick times."""
+    nodes = []
+    for takes_transition in (True, False):
+        node = ComputeNode(hostname="rail-node")
+        enclosure = Enclosure(EnclosureConfig.original())
+        node.attach_thermal(enclosure, slot=4)
+        node.power_on(0.0)
+        node.start_bootloader(0.0)
+        node.finish_boot(0.0)
+        node.begin_workload(HPL_PROFILE, 0.0)
+        for _ in range(3):
+            node.advance(1.0)
+        if not takes_transition:
+            node.advance(0.4)
+        elif transition == "set_frequency_scale":
+            node.set_frequency_scale(1.0, 3.4)
         else:
-            method = getattr(node, name)
-            try:
-                method(*args, clock) if args else method(clock)
-            except RuntimeError:
-                pass  # a transition the state machine refuses
-        shadow.assert_identical()
-    node.settle()
-    shadow.assert_identical()
-
-
-def test_a_repeated_dict_makes_no_per_rail_update(monkeypatch):
-    calls = []
-    per_rail = PowerRail.set_power
-
-    def counting(rail, power_w, now_s):
-        calls.append(rail.name)
-        per_rail(rail, power_w, now_s)
-
-    monkeypatch.setattr(PowerRail, "set_power", counting)
-    rails = RailSet()
-    shadow = ShadowRails(rails)
-    powers = {name: 0.1 * (i + 1) for i, name in enumerate(RAIL_NAMES)}
-    rails.set_powers(powers, 1.0)
-    assert len(calls) == 2 * len(RAIL_NAMES)  # the set and the shadow
-    for tick in range(2, 12):
-        rails.set_powers(powers, float(tick))
-        rails.set_powers(dict(powers), tick + 0.5)
-    assert len(calls) == 2 * len(RAIL_NAMES) + 20 * len(RAIL_NAMES)
-    # After the first dict, only the shadow's rails take per-rail updates.
-    assert calls.count("core") == 2 + 20
-    shadow.assert_identical()
-
-
-def _rail_state(rails):
-    return ([(rail.power_w, rail.energy_j, rail._last_update_s)
-             for rail in rails], rails.total_w())
-
-
-@pytest.mark.parametrize("repeat", [True, False],
-                         ids=["integrate-only", "per-rail"])
-@pytest.mark.parametrize("now_s", [9.5, float("nan")])
-def test_time_going_backwards_moves_no_energy(repeat, now_s):
-    rails = RailSet()
-    powers = {name: 0.1 * (i + 1) for i, name in enumerate(RAIL_NAMES)}
-    rails.set_powers(powers, 5.0)
-    rails.set_powers(powers, 10.0)  # integrate-only
-    before = _rail_state(rails)
-    handed = powers if repeat else {name: 2.0 for name in RAIL_NAMES}
-    with pytest.raises(ValueError, match="backwards"):
-        rails.set_powers(handed, now_s)
-    assert _rail_state(rails) == before
-    # The set still integrates from where it stood.
-    shadow = [PowerRail(name) for name in RAIL_NAMES]
-    for rail in shadow:
-        rail.set_power(powers[rail.name], 5.0)
-        rail.set_power(powers[rail.name], 10.0)
-        rail.set_power(powers[rail.name], 12.0)
-    rails.set_powers(powers, 12.0)
-    assert [rail.energy_j for rail in rails] == [r.energy_j for r in shadow]
-
-
-def test_a_direct_rail_update_ends_integrate_only():
-    rails = RailSet()
-    shadow = ShadowRails(rails)
-    powers = {name: 1.0 for name in RAIL_NAMES}
-    rails.set_powers(powers, 0.0)
-    rails.set_powers(powers, 1.0)
-    # Written behind the set's back: the rails no longer share a stamp.
-    rails["core"].set_power(3.0, 1.5)
-    shadow.reference["core"].set_power(3.0, 1.5)
-    shadow.assert_identical()
-    rails.set_powers(powers, 2.0)
-    shadow.assert_identical()
-    assert rails["core"].energy_j == 1.0 * 1.5 + 3.0 * 0.5
+            node.set_enclosure(enclosure)
+            node.advance(0.4)
+        node.advance(0.6)
+        node.advance(1.0)
+        node.settle()
+        nodes.append(node)
+    with_transition, ticked = nodes
+    times = [1.0, 2.0, 3.0, 3.4, 4.0, 5.0]
+    powers = RailPowerModel().rail_powers_w(NodePhase.R3_OS, HPL_PROFILE)
+    for rail, other in zip(with_transition.board.rails, ticked.board.rails):
+        energy, last = 0.0, 0.0
+        for now_s in times:
+            energy += powers[rail.name] * (now_s - last)
+            last = now_s
+        assert rail.energy_j.hex() == other.energy_j.hex() == energy.hex()
+        assert rail.power_w == powers[rail.name]
 
 
 def usage_afresh(memory):
@@ -302,12 +165,6 @@ def test_memory_usage_follows_every_allocation_change():
         assert usage == usage_afresh(memory)
         seen.add(usage["used"])
     assert len(seen) == 6
-
-
-def test_memory_usage_is_read_only():
-    usage = DDR4Subsystem().usage()
-    with pytest.raises(TypeError):
-        usage["used"] = 1
 
 
 def test_the_trip_release_reaches_procfs_on_the_next_boot():

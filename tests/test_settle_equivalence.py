@@ -61,7 +61,7 @@ class EagerNode(ComputeNode):
     does not share the accounting code it checks: the HPM counts, the
     procfs increments and load averages, the memory split, the three RC
     updates and ``energy += P·dt`` on each rail, with ``dt`` the time
-    since the rail's last update.
+    since the rails' last update.
     """
 
     def settle(self):
@@ -141,14 +141,14 @@ class EagerNode(ComputeNode):
             frequency_scale=self.frequency_scale))
 
     def _integrate_rails(self, powers_w):
-        """Each rail adds ``P·dt`` up to the node clock, then takes its
-        new power from ``powers_w`` (if given)."""
-        now_s = self._now_s
-        for rail in self.board.rails:
-            rail._energy_j += rail._power_w * (now_s - rail._last_update_s)
-            rail._last_update_s = now_s
+        """Each rail adds ``P·dt`` from the rails' clock to the node
+        clock, then takes its new power from ``powers_w`` (if given)."""
+        rails, now_s = self.board.rails, self._now_s
+        for rail in rails:
+            rail._energy_j += rail._power_w * (now_s - rails._now_s)
             if powers_w is not None:
                 rail._power_w = powers_w[rail.name]
+        rails._now_s = now_s
 
 
 PROFILES = (IDLE_PROFILE, HPL_PROFILE, STREAM_L2_PROFILE, STREAM_DDR_PROFILE,
@@ -247,8 +247,9 @@ def state(node):
     lines = [node.state, node.phase, node.active_profile.name,
              node.frequency_scale.hex(), node._now_s.hex()]
     lines += [core.hpm.snapshot() for core in node.board.cores]
-    lines += [(rail.name, rail.power_w.hex(), rail.energy_j.hex(),
-               rail._last_update_s.hex()) for rail in node.board.rails]
+    lines += [(rail.name, rail.power_w.hex(), rail.energy_j.hex())
+              for rail in node.board.rails]
+    lines.append(node.board.rails._now_s.hex())
     procfs = node.procfs
     cpu = procfs.cpu
     lines.append([value.hex() for value in (

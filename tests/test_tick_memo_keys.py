@@ -1,9 +1,8 @@
-"""Each value the node tick reuses is keyed on every input it depends on.
+"""Each tick follows every input of its derived values.
 
-The per-second tick keeps three values until an input changes: the RC
-decay factor ``exp(-dt/τ)`` (``ThermalRC.step``), the procfs per-interval
-increments (``ProcFS.account_cpu``) and the shared idle activity
-(``CoreComplex.idle``).  These tests drive a node through the transitions
+A tick's RC decay factors ``exp(-dt/τ)``, procfs per-interval increments
+and idle core counts are worked out from ``dt`` and inputs that only a
+transition changes.  These tests drive a node through the transitions
 that change those inputs and compare every tick, exactly, against the
 formulas evaluated afresh:
 
@@ -20,7 +19,6 @@ import math
 from repro.cluster.node import ComputeNode
 from repro.cluster.procfs import ProcFS
 from repro.events.engine import Engine
-from repro.hardware.cores import CoreActivity, U74Core
 from repro.power.model import HPL_PROFILE, NodePhase
 from repro.thermal.enclosure import Enclosure, EnclosureConfig
 from repro.thermal.model import NodeThermalModel as Model
@@ -123,10 +121,10 @@ class TickReference:
                 thermal.nvme.temperature_c] == self.temperatures
         assert procfs_state(node.procfs) == self.procfs.state()
         if idle:
-            # A fresh activity, so nothing it computes is reused.
-            cycles, instructions, *_ = CoreActivity(
-                duration_s=dt_s, ipc=0.02, utilisation=0.01).counts(
-                    node.board.cores.soc.clock_hz, U74Core.MAX_IPC)
+            # The OS-idle slice: 1% busy at ipc 0.02.
+            clock_hz = node.board.cores.soc.clock_hz
+            cycles = int(clock_hz * dt_s)
+            instructions = int(int(clock_hz * (dt_s * 0.01)) * 0.02)
             for core, (cycle0, instret0) in zip(node.board.cores, before):
                 assert core.hpm.cycle - cycle0 == cycles
                 assert core.hpm.instret - instret0 == instructions
