@@ -95,19 +95,22 @@ def test_hpl_full_machine_energy(benchmark):
     assert paper_scale_kj == pytest.approx(168.0, rel=0.08)
 
 
-def test_ledger_conserves_rail_energy():
+@pytest.mark.parametrize("offset_s", [0.0, 0.4],
+                         ids=["on-tick", "between-ticks"])
+def test_ledger_conserves_rail_energy(offset_s):
     """Each job's per-rail energy is nodes × rail power × elapsed time.
 
-    Both jobs start on a watchdog tick: the HPL job takes the whole
-    machine, and the STREAM.DDR job waits for it.  Nothing throttles on
-    the mitigated machine, so every allocated node holds the model's
-    R3 power for the profile over the whole job.
+    The HPL job takes the whole machine, and the STREAM.DDR job waits for
+    it.  They start on a watchdog tick, or 0.4 s after one, so the idle
+    time before the start is not the job's.  Nothing throttles on the
+    mitigated machine, so every allocated node holds the model's R3
+    power for the profile over the whole job.
     """
     cluster = MonteCimoneCluster(
         enclosure_config=EnclosureConfig.mitigated())
     cluster.boot_all()
     accounting = JobEnergyAccounting(cluster.slurm)
-    cluster.run_for(10.0)
+    cluster.run_for(10.0 + offset_s)
     jobs = [cluster.slurm.submit(name, "bench", n_nodes=n_nodes,
                                  duration_s=duration_s, profile=profile)
             for name, n_nodes, duration_s, profile in (

@@ -48,19 +48,10 @@ class JobEnergyAccounting:
         self.controller = controller
         self._start_snapshots: Dict[int, Dict[str, Dict[str, float]]] = {}
         self.ledger: List[JobEnergyRecord] = []
+        controller.on_job_start.append(self._on_job_start)
         controller.on_job_end.append(self._on_job_end)
-        self._wrap_start()
 
     # -- wiring -------------------------------------------------------------
-    def _wrap_start(self) -> None:
-        original_start = self.controller._start
-
-        def start_with_snapshot(job, partition):
-            original_start(job, partition)
-            self._start_snapshots[job.job_id] = self._snapshot(job)
-
-        self.controller._start = start_with_snapshot
-
     def _bound_nodes(self, job: Job) -> Dict[str, ComputeNode]:
         return {hostname: self.controller.compute_nodes[hostname]
                 for hostname in job.allocated_nodes
@@ -73,6 +64,11 @@ class JobEnergyAccounting:
         return {hostname: {rail.name: rail.energy_j
                            for rail in node.board.rails}
                 for hostname, node in nodes.items()}
+
+    def _on_job_start(self, job: Job) -> None:
+        # The nodes have begun the workload, so the rails hold up to the
+        # start time and none of the idle time before it is the job's.
+        self._start_snapshots[job.job_id] = self._snapshot(job)
 
     def _on_job_end(self, job: Job) -> None:
         start = self._start_snapshots.pop(job.job_id, None)

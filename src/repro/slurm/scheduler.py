@@ -44,6 +44,8 @@ class SlurmController:
         self._next_job_id = 1
         #: Optional binding of hostnames to real simulated nodes.
         self.compute_nodes: Dict[str, "ComputeNode"] = {}
+        #: Start listeners: called once each attempt's nodes run the job.
+        self.on_job_start: List[Callable[[Job], None]] = []
         #: Completion listeners: job -> None callbacks.
         self.on_job_end: List[Callable[[Job], None]] = []
         #: Requeue listeners: called when a NODE_FAIL job re-enters backoff.
@@ -230,6 +232,8 @@ class SlurmController:
                 nodes=",".join(job.allocated_nodes))
         for node in bound:
             node.begin_workload(job.profile, self.engine.now)
+        for callback in self.on_job_start:
+            callback(job)
         step = 1.0
         elapsed = 0.0
         outcome = JobState.COMPLETED

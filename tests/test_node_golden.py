@@ -49,7 +49,7 @@ NODE_DIGESTS = {
     "service_cooldown":
         "6a8d5ed0ca06d627ffe909a52950b26db29d4bcdde9633eaf98f87da8c858f34",
     "settle_points":
-        "3f230640b635f8724a8a765d92f41898700b8bc4db9ab6e5ec90fdb0d3799d98",
+        "083e150292072d3f2a3c3c948cccd7fcf577d56926375d395d8da8bb84356cf8",
 }
 
 FIG3_DIGEST = (
