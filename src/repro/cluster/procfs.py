@@ -90,8 +90,8 @@ class ProcFS:
         """
         if not dt_s >= 0:  # also rejects NaN
             raise ValueError("negative interval")
-        if any(math.isnan(x)
-               for x in (utilisation, sys_fraction, wait_fraction)):
+        if (math.isnan(utilisation) or math.isnan(sys_fraction)
+                or math.isnan(wait_fraction)):
             raise ValueError("NaN utilisation or fraction")
         ticks_hz = dt_s * self.USER_HZ * self.n_cores
         busy = ticks_hz * utilisation

@@ -59,8 +59,8 @@ class CoreActivity:
 
     def __post_init__(self) -> None:
         # Every field is checked here, so every increment
-        # :meth:`run_counts` derives is a non-negative integer and a core applies all of them
-        # or none.
+        # :meth:`run_counts` derives is a non-negative integer and a core
+        # applies all of them or none.
         if not self.duration_s >= 0:
             raise ValueError(f"negative duration {self.duration_s}")
         if not 0.0 <= self.utilisation <= 1.0:
@@ -140,9 +140,9 @@ class U74Core:
         ``counts`` is the :meth:`CoreActivity.run_counts` sum of one or
         more back-to-back slices; integer addition makes one sum the same
         as one addition per slice.  Updates CYCLE, INSTRET and the
-        programmable HPM counters; the programmable events
-        are discarded while the bank is disabled, mirroring hardware
-        counters that are simply not counting.  The clock must be running;
+        programmable HPM counters; the programmable events are discarded
+        while the bank is disabled, mirroring hardware counters that are
+        simply not counting.  The clock must be running;
         calling this on a gated core is a modelling bug.  The increments
         need no check: ``CoreActivity`` validates every field, so each is
         a non-negative integer.

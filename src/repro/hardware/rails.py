@@ -18,9 +18,6 @@ every second, is summed once per power change.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import chain, repeat
-from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, Sequence
 
 __all__ = ["PowerRail", "RailSet", "RAIL_NAMES"]
@@ -111,15 +108,21 @@ class RailSet:
         step from the previous time (the rails' clock, for the first).
         A step back in time, or a NaN, raises before any energy moves.
         """
-        steps = list(map(sub, times, chain((self._now_s,), times)))
-        if not all(step >= 0 for step in steps):  # also rejects a NaN time
-            raise ValueError(
-                f"time went backwards on the rails before {times[-1]}")
+        steps = []
+        last = self._now_s
+        for now_s in times:
+            step = now_s - last
+            if not step >= 0:  # also rejects a NaN time
+                raise ValueError(f"time went backwards on the rails: {now_s}")
+            steps.append(step)
+            last = now_s
         for rail in self._rails.values():
             power = rail._power_w
             if power:  # a zero power adds nothing, whatever its sign
-                rail._energy_j = reduce(add, map(mul, repeat(power), steps),
-                                        rail._energy_j)
+                energy = rail._energy_j
+                for step in steps:
+                    energy += power * step
+                rail._energy_j = energy
         self._now_s = times[-1]
 
     def total_w(self) -> float:
