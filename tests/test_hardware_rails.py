@@ -13,6 +13,15 @@ def rail_state(rails):
             rails.total_w().hex())
 
 
+def energy_after(power_w, times):
+    """``energy += P·dt`` from time zero over each of ``times``."""
+    energy, last = 0.0, 0.0
+    for now_s in times:
+        energy += power_w * (now_s - last)
+        last = now_s
+    return energy
+
+
 def powered(now_s=0.0):
     """A set whose rails draw 0.1, 0.2, ... 0.9 W from ``now_s``."""
     rails = RailSet()
@@ -71,11 +80,8 @@ class TestHold:
         times = [0.3, 1.3, 2.3, 2.3, 2.75]
         rails.hold(times)
         for i, rail in enumerate(rails):
-            energy, last = 0.0, 0.0
-            for now_s in times:
-                energy += 0.1 * (i + 1) * (now_s - last)
-                last = now_s
-            assert rail.energy_j.hex() == energy.hex(), rail.name
+            expected = energy_after(0.1 * (i + 1), times)
+            assert rail.energy_j.hex() == expected.hex(), rail.name
         # The rails' clock is the last time.
         rails.set_powers({}, 3.75)
         assert rails["core"].energy_j == energy_after(0.1, times + [3.75])
@@ -103,12 +109,3 @@ class TestHold:
         assert rails["core"].energy_j.hex() == (20.0).hex()
         assert rails["io"].energy_j.hex() == (0.0).hex()
         assert rails.total_w() == 0.0
-
-
-def energy_after(power_w, times):
-    """``energy += P·dt`` from time zero over each of ``times``."""
-    energy, last = 0.0, 0.0
-    for now_s in times:
-        energy += power_w * (now_s - last)
-        last = now_s
-    return energy
